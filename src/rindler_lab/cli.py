@@ -11,7 +11,8 @@ echoed into the output metadata so runs are reproducible.  Output files
 are deterministic byte for byte for a fixed configuration and version.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numeric
-domain error.  ``RINDLER_LAB_THREADS`` caps sweep parallelism.
+domain error.  ``RINDLER_LAB_THREADS`` is still validated as an integer but
+has no effect: each sweep integrates its whole grid as one batch.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ def build_params(cfg: RunConfig) -> DimensionlessParams:
 
 
 def thread_cap() -> Optional[int]:
+    """``RINDLER_LAB_THREADS`` as an integer >= 1, or None when unset.
+
+    Sweeps accept the value and ignore it; it is still validated so that a
+    malformed setting is reported rather than silently dropped.
+    """
     raw = os.environ.get("RINDLER_LAB_THREADS")
     if raw is None:
         return None
@@ -464,10 +470,11 @@ def spectrum(config_path, scenario, method, grid_token, output_path, output_form
             raise ConfigError(str(exc)) from exc
         spec = ScenarioSpec(scen, build_params(cfg), meth)
         grid_values = cfg.grid.values()
+        workers = thread_cap()
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)
     try:
-        result = perturbation.spectrum_sweep(spec, grid_values, max_workers=thread_cap())
+        result = perturbation.spectrum_sweep(spec, grid_values, max_workers=workers)
     except DomainError as exc:
         _fail(exc, EXIT_DOMAIN_ERROR)
     effective = cfg.effective()

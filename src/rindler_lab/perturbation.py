@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -140,6 +139,11 @@ def planck_factor(x: float) -> float:
     return math.exp(-x) / (-math.expm1(-x))
 
 
+def _probability_error(amp: complex, amp_error: float) -> float:
+    """Bound on the error of ``|amp|**2`` from a bound on that of ``amp``."""
+    return amp_error * (2.0 * abs(amp) + amp_error)
+
+
 # ---------------------------------------------------------------------------
 # scenario: uniformly accelerated atom, inertial vacuum
 # ---------------------------------------------------------------------------
@@ -160,27 +164,40 @@ def accel_atom_probability(
     only as a pure phase, so the probability depends on ``omega * ell``
     alone.
     """
+    return _accel_atom_records(params, [params.omega_atom], method, cfg)[0]
+
+
+def _accel_atom_records(
+    params: DimensionlessParams,
+    gaps: Sequence[float],
+    method: Method,
+    cfg: QuadratureConfig,
+) -> list[SpectrumRecord]:
+    # one record per dimensionless gap omega * ell; the quadrature runs as
+    # one batch over all of them
     g, ell = params.coupling_g, params.ell
-    om_ell = params.omega_atom  # dimensionless gap
-    if om_ell <= 0:
+    if any(om_ell <= 0 for om_ell in gaps):
         raise DomainError("omega_atom must be positive")
-
-    def closed() -> float:
-        return 2.0 * math.pi * g * g * ell * ell / om_ell * planck_factor(2.0 * math.pi * om_ell)
-
-    def quad_amplitude() -> complex:
-        return g * ell * numerics.oscillatory_power_integral(om_ell, -1.0, -1, cfg)
-
+    if method is not Method.QUADRATURE:
+        closed = [
+            2.0 * math.pi * g * g * ell * ell / om_ell * planck_factor(2.0 * math.pi * om_ell)
+            for om_ell in gaps
+        ]
     if method is Method.CLOSED_FORM:
-        p = closed()
-        return SpectrumRecord(om_ell, p, cmath.sqrt(p), "closed", 0.0)
+        return [SpectrumRecord(om, p, cmath.sqrt(p), "closed", 0.0) for om, p in zip(gaps, closed)]
+    kernel = numerics.oscillatory_power_integral(np.asarray(gaps), -1.0, -1, cfg)
+    amps = (g * ell * kernel).tolist()
     if method is Method.QUADRATURE:
-        amp = quad_amplitude()
-        p = abs(amp) ** 2
-        return SpectrumRecord(om_ell, p, amp, "quad", max(cfg.rel_tol * p, cfg.abs_tol))
-    p_closed = closed()
-    residual = abs(abs(quad_amplitude()) ** 2 - p_closed) / p_closed
-    return SpectrumRecord(om_ell, p_closed, cmath.sqrt(p_closed), "both", residual)
+        return [
+            SpectrumRecord(
+                om, abs(amp) ** 2, amp, "quad", max(cfg.rel_tol * abs(amp) ** 2, cfg.abs_tol)
+            )
+            for om, amp in zip(gaps, amps)
+        ]
+    return [
+        SpectrumRecord(om, p, cmath.sqrt(p), "both", abs(abs(amp) ** 2 - p) / p)
+        for om, amp, p in zip(gaps, amps, closed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +224,54 @@ def static_atom_rindler_probability(
     the asymptotic (far-atom) limit is the thermal
     ``P ~ (2 pi nu ell g**2 / omega**2) * 1/(exp(2 pi nu ell) - 1)``.
     The quadrature route integrates the mode phase over the crossing
-    interval directly; ``error_estimate`` reports the numerical bound, and
-    for ``Method.BOTH`` the exact-vs-quadrature residual.
+    interval directly (:func:`~rindler_lab.numerics.finite_ray_integral`);
+    ``error_estimate`` reports the quadrature bound on the probability,
+    and for ``Method.BOTH`` the exact-vs-quadrature residual.
 
     The thermal factor is a function of the field frequency here, not of
     the atom gap.
     """
-    nu_ell = params.nu_field
+    return _static_atom_records(params, [params.nu_field], method, cfg)[0]
+
+
+def _static_atom_records(
+    params: DimensionlessParams,
+    nus: Sequence[float],
+    method: Method,
+    cfg: QuadratureConfig,
+) -> list[SpectrumRecord]:
+    # one record per dimensionless field frequency nu * ell; the ray
+    # quadrature runs as one batch over all of them
     g, omega, z0 = params.coupling_g, params.omega_atom / params.ell, params.z0
-    if nu_ell <= 0:
+    if any(nu_ell <= 0 for nu_ell in nus):
         raise DomainError("nu_field must be positive")
     if omega <= 0 or z0 <= 0:
         raise DomainError("omega and z0 must be positive")
     x_upper = 2.0 * omega * z0
-
-    def quadrature() -> tuple[complex, float]:
-        def integrand(x: float) -> complex:
-            return cmath.exp(1j * x + 1j * nu_ell * math.log(x))
-
-        val, err = numerics.adaptive_finite_quad(integrand, 0.0, x_upper, cfg)
-        return (g / omega) * val, err / omega
-
+    if method is not Method.QUADRATURE:
+        exact = [_static_atom_amplitude_exact(nu_ell, x_upper, g, omega) for nu_ell in nus]
     if method is Method.CLOSED_FORM:
-        amp = _static_atom_amplitude_exact(nu_ell, x_upper, g, omega)
-        return SpectrumRecord(nu_ell, abs(amp) ** 2, amp, "closed", 0.0)
+        return [
+            SpectrumRecord(nu, abs(amp) ** 2, amp, "closed", 0.0) for nu, amp in zip(nus, exact)
+        ]
+    ray = numerics.finite_ray_integral(np.asarray(nus), x_upper, cfg)
+    amps = ((g / omega) * ray.value).tolist()
     if method is Method.QUADRATURE:
-        amp, err = quadrature()
-        return SpectrumRecord(nu_ell, abs(amp) ** 2, amp, "quad", err)
-    amp = _static_atom_amplitude_exact(nu_ell, x_upper, g, omega)
-    amp_quad, _ = quadrature()
-    residual = abs(abs(amp_quad) ** 2 - abs(amp) ** 2) / max(abs(amp) ** 2, 1e-300)
-    return SpectrumRecord(nu_ell, abs(amp) ** 2, amp, "both", residual)
+        amp_errors = (g / omega) * ray.error
+        return [
+            SpectrumRecord(nu, abs(amp) ** 2, amp, "quad", _probability_error(amp, err))
+            for nu, amp, err in zip(nus, amps, amp_errors.tolist())
+        ]
+    return [
+        SpectrumRecord(
+            nu,
+            abs(amp) ** 2,
+            amp,
+            "both",
+            abs(abs(amp_quad) ** 2 - abs(amp) ** 2) / max(abs(amp) ** 2, 1e-300),
+        )
+        for nu, amp, amp_quad in zip(nus, exact, amps)
+    ]
 
 
 def static_atom_asymptotic_probability(params: DimensionlessParams) -> float:
@@ -311,15 +345,30 @@ def w_omega(
         raise DomainError("omega_atom and ell must be positive")
     if rotation not in (+1, -1):
         raise DomainError("rotation must be +1 or -1")
+    if method is Method.QUADRATURE:
+        w, _ = _w_omega_quad(np.array([omega_mode]), omega_atom, ell, rotation, cfg)
+        return complex(w[0])
     om = omega_mode
     phase = cmath.exp(-1j * rotation * om * math.log(omega_atom * ell))
-    if method is Method.QUADRATURE:
-        core = numerics.oscillatory_power_integral(om, -1.0, rotation, cfg)
-    else:
-        core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(
-            complex(0.0, rotation * om)
-        )
+    core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
     return rotation * 1j * om * phase * core
+
+
+def _w_omega_quad(
+    modes: np.ndarray,
+    omega_atom: float,
+    ell: float,
+    rotation: int,
+    cfg: QuadratureConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature route of :func:`w_omega` over an array of mode frequencies.
+
+    Returns the kernel values and bounds on their errors, from one batched
+    rotated quadrature.
+    """
+    core = numerics.oscillatory_power_quad(modes, -1.0, rotation, cfg)
+    phase = np.exp(-1j * rotation * modes * math.log(omega_atom * ell))
+    return rotation * 1j * modes * phase * core.value, modes * core.error
 
 
 def mirror_family_amplitudes(
@@ -354,18 +403,48 @@ def accel_mirror_mode_probability(
     mirror-reflected family-2 amplitude, available from
     :func:`mirror_family_amplitudes`, interferes and is not thermal on its
     own.
+
+    ``Method.QUADRATURE`` evaluates the overlap kernel by rotated
+    quadrature and reports its error bound on the probability;
+    ``Method.BOTH`` keeps the closed-form record and reports the relative
+    residual of the quadrature probability against it.
     """
-    if omega_mode <= 0:
+    return _mirror_records(params, [omega_mode], method, DEFAULT_QUAD_CONFIG)[0]
+
+
+def _mirror_records(
+    params: DimensionlessParams,
+    modes: Sequence[float],
+    method: Method,
+    cfg: QuadratureConfig,
+) -> list[SpectrumRecord]:
+    # family-3 records, one per mode frequency; the rotated quadrature of
+    # the overlap kernel runs as one batch over all of them.  ``quad``
+    # reports the quadrature bound, ``both`` the relative residual of the
+    # quadrature probability against the closed form.
+    if any(om <= 0 for om in modes):
         raise DomainError("omega_mode must be positive")
-    amps = mirror_family_amplitudes(omega_mode, params, method)
-    amp = amps[3]
-    return SpectrumRecord(
-        omega_mode,
-        abs(amp) ** 2,
-        amp,
-        method.value,
-        0.0 if method is Method.CLOSED_FORM else DEFAULT_QUAD_CONFIG.abs_tol,
-    )
+    if method is not Method.QUADRATURE:
+        closed = [mirror_family_amplitudes(om, params)[3] for om in modes]
+    if method is Method.CLOSED_FORM:
+        return [
+            SpectrumRecord(om, abs(amp) ** 2, amp, "closed", 0.0) for om, amp in zip(modes, closed)
+        ]
+    grid = np.asarray(modes)
+    w, w_err = _w_omega_quad(grid, params.omega_atom / params.ell, params.ell, +1, cfg)
+    pref = params.coupling_g / np.sqrt(4.0 * math.pi * grid)
+    amps = (pref * w).tolist()
+    if method is Method.QUADRATURE:
+        return [
+            SpectrumRecord(om, abs(amp) ** 2, amp, "quad", _probability_error(amp, err))
+            for om, amp, err in zip(modes, amps, (pref * w_err).tolist())
+        ]
+    return [
+        SpectrumRecord(
+            om, abs(amp) ** 2, amp, "both", abs(abs(amp_quad) ** 2 - abs(amp) ** 2) / abs(amp) ** 2
+        )
+        for om, amp, amp_quad in zip(modes, closed, amps)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +509,22 @@ def freefall_bh_probability(
 # ---------------------------------------------------------------------------
 
 
-def _record_for(spec: ScenarioSpec, freq: float) -> SpectrumRecord:
-    p = spec.params
+def _records_for(spec: ScenarioSpec, freqs: list[float]) -> list[SpectrumRecord]:
+    p, method, cfg = spec.params, spec.method, DEFAULT_QUAD_CONFIG
     sc = spec.scenario
     if sc is Scenario.ACCEL_ATOM:
-        return accel_atom_probability(replace(p, omega_atom=freq), spec.method)
+        return _accel_atom_records(p, freqs, method, cfg)
     if sc is Scenario.STATIC_ATOM_RINDLER_VAC:
-        return static_atom_rindler_probability(replace(p, nu_field=freq), spec.method)
+        return _static_atom_records(p, freqs, method, cfg)
     if sc is Scenario.FREEFALL_BH:
-        return freefall_bh_probability(replace(p, nu_field=freq), spec.method)
+        return _static_atom_records(freefall_map(p), freqs, method, cfg)
     if sc is Scenario.ACCEL_MIRROR_STATIC_ATOM:
-        return accel_mirror_mode_probability(freq, p, spec.method)
+        return _mirror_records(p, freqs, method, cfg)
     if sc is Scenario.ACCEL_ATOM_MIRROR:
-        prob = accel_atom_mirror_probability(freq)
-        return SpectrumRecord(freq, prob, cmath.sqrt(prob), spec.method.value, 0.0)
+        probs = [accel_atom_mirror_probability(f) for f in freqs]
+        return [
+            SpectrumRecord(f, q, cmath.sqrt(q), method.value, 0.0) for f, q in zip(freqs, probs)
+        ]
     raise DomainError(f"unknown scenario {sc!r}")  # pragma: no cover
 
 
@@ -489,20 +570,20 @@ def spectrum_sweep(
     ``fit_residual`` as the RMS relative deviation of the linearized data.
     Grids with fewer than 4 points skip the fit.
 
-    ``max_workers > 1`` evaluates frequencies concurrently; records are
-    returned in grid order regardless.
+    Quadrature routes integrate the whole grid as one batch, so their
+    values can differ in the last bits from single-point calls.
+    ``max_workers`` is accepted for compatibility and ignored: the batch
+    leaves no per-point work to split between threads.
     """
     freqs = [float(f) for f in freq_grid]
+    if not all(math.isfinite(f) for f in freqs):
+        raise DomainError("freq_grid must be finite")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise DomainError("freq_grid must be strictly increasing")
     if not freqs:
         return Spectrum((), spec, None, None)
 
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = tuple(pool.map(lambda f: _record_for(spec, f), freqs))
-    else:
-        records = tuple(_record_for(spec, f) for f in freqs)
+    records = tuple(_records_for(spec, freqs))
 
     fitted_t: Optional[float] = None
     residual: Optional[float] = None

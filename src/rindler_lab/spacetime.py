@@ -24,9 +24,14 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy import constants as _const
-
 from .errors import DomainError, WedgeError
+
+# CODATA 2018 values in SI units; h, c and k are exact since the 2019 SI
+SI_H = 6.62607015e-34
+SI_HBAR = SI_H / (2.0 * math.pi)
+SI_C = 299792458.0
+SI_K = 1.380649e-23
+SI_G = 6.67430e-11
 
 __all__ = [
     "DimensionlessParams",
@@ -289,7 +294,7 @@ def temperatures(
     if units == "natural":
         hbar = c = grav = kb = 1.0
     else:
-        hbar, c, grav, kb = _const.hbar, _const.c, _const.G, _const.k
+        hbar, c, grav, kb = SI_HBAR, SI_C, SI_G, SI_K
 
     if rg is None:
         if mass is not None:

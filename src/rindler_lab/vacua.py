@@ -32,9 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
-
-from scipy.optimize import minimize_scalar
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .modes import ModeKind, ModeSpec, NullULine, SurfaceSampling, kg_inner
@@ -55,6 +53,8 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("standard", "symmetric")
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -270,13 +270,32 @@ def kms_residual(
         k_min = min(range(len(shifts)), key=values.__getitem__)
         left = shifts[max(0, k_min - 1)]
         right = shifts[min(len(shifts) - 1, k_min + 1)]
-    result = minimize_scalar(
-        lambda sh: kms_twist_residual(pairs, ell, sh),
-        bounds=(left, right),
-        method="bounded",
-        options={"xatol": 1e-10 * period},
+    fitted_period, fitted_residual = _golden_section_min(
+        lambda sh: kms_twist_residual(pairs, ell, sh), left, right, 1e-10 * period
     )
-    fitted_period = float(result.x)
-    if kms_twist_residual(pairs, ell, fitted_period) > values[k_min]:
+    if fitted_residual > values[k_min]:
         fitted_period = shifts[k_min]
     return KmsScanResult(max_residual, fitted_period, 1.0 / fitted_period)
+
+
+def _golden_section_min(
+    f: Callable[[float], float], left: float, right: float, xatol: float
+) -> tuple[float, float]:
+    """Golden-section search for the minimum of ``f`` on ``[left, right]``.
+
+    Shrinks the bracket by the golden ratio per evaluation until it is
+    narrower than ``xatol``; returns the best point evaluated and its value.
+    """
+    x1 = right - _INV_GOLDEN * (right - left)
+    x2 = left + _INV_GOLDEN * (right - left)
+    f1, f2 = f(x1), f(x2)
+    while right - left > xatol:
+        if f1 <= f2:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - _INV_GOLDEN * (right - left)
+            f1 = f(x1)
+        else:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + _INV_GOLDEN * (right - left)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -217,3 +221,15 @@ class TestKmsCheckCommand:
         result = invoke(runner, "kms-check", "--ell", "1.0", "--pairs", "16")
         assert result.exit_code == 0
         assert "extracted temperature" in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, rindler_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rindler_lab import numerics as nm
 from rindler_lab.errors import (
@@ -202,7 +204,7 @@ class TestAdaptiveFiniteQuad:
         assert err < 1e-10
 
     def test_full_period(self):
-        val, _ = nm.adaptive_finite_quad(lambda x: cmath.exp(1j * x), 0.0, 2.0 * math.pi)
+        val, _ = nm.adaptive_finite_quad(lambda x: np.exp(1j * x), 0.0, 2.0 * math.pi)
         assert abs(val) < 1e-12
 
     def test_endpoint_power_singularity(self):
@@ -215,7 +217,7 @@ class TestAdaptiveFiniteQuad:
         x_upper = 50.0
 
         def integrand(x):
-            return cmath.exp(1j * x + 1j * om * math.log(x))
+            return np.exp(1j * x + 1j * om * np.log(x))
 
         val, _ = nm.adaptive_finite_quad(
             integrand, 0.0, x_upper, nm.QuadratureConfig(max_subdivisions=400)
@@ -228,11 +230,67 @@ class TestAdaptiveFiniteQuad:
     def test_budget_error(self):
         with pytest.raises(QuadratureBudgetError):
             nm.adaptive_finite_quad(
-                lambda x: math.sin(1000.0 * x),
+                lambda x: np.sin(1000.0 * x),
                 0.0,
                 50.0,
                 nm.QuadratureConfig(max_subdivisions=2),
             )
+
+    def test_batch_columns_have_their_own_values(self):
+        # rows of a batch integrand are integrated side by side on shared panels
+        rates = np.array([1.0, 2.0, 5.0])
+        val, err = nm.adaptive_finite_quad(lambda x: np.cos(np.outer(rates, x)), 0.0, 1.0)
+        assert val.shape == err.shape == (3,)
+        assert np.max(np.abs(val - np.sin(rates) / rates)) < 1e-13
+        assert np.all(err < 1e-10)
+
+    def test_batch_budget_error(self):
+        # one easy and one wildly oscillating column: the shared panel budget
+        # runs out on the second
+        rates = np.array([1.0, 1000.0])
+        with pytest.raises(QuadratureBudgetError):
+            nm.adaptive_finite_quad(
+                lambda x: np.sin(np.outer(rates, x)),
+                0.0,
+                50.0,
+                nm.QuadratureConfig(max_subdivisions=40),
+            )
+
+
+def _ray_reference(nu, x_upper):
+    # int_0^X e^{ix} x^{i nu} dx = i e^{-pi nu/2} gamma(1 + i nu, -iX)
+    return complex(
+        1j * mp.e ** (-mp.pi * nu / 2) * mp.gammainc(mp.mpc(1, nu), 0, mp.mpc(0, -x_upper))
+    )
+
+
+class TestFiniteRayIntegral:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nus=st.lists(
+            st.floats(0.05, 5.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6
+        ),
+        x_upper=st.floats(0.5, 30.0, exclude_min=True),
+    )
+    def test_batch_matches_columns_and_mpmath(self, nus, x_upper):
+        batch = nm.finite_ray_integral(np.array(nus), x_upper)
+        for nu, val, err in zip(nus, batch.value, batch.error):
+            single = nm.finite_ray_integral(nu, x_upper)
+            want = _ray_reference(nu, x_upper)
+            assert relerr(val, want) < 1e-9
+            assert relerr(single.value, want) < 1e-9
+            assert relerr(val, single.value) < 1e-9
+            assert 0.0 < err < 1e-9
+
+    def test_scalar_returns_plain_numbers(self):
+        val, err = nm.finite_ray_integral(1.0, 10.0)
+        assert isinstance(val, complex) and isinstance(err, float)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            nm.finite_ray_integral(1.0, 0.0)
+        with pytest.raises(DomainError):
+            nm.finite_ray_integral(np.array([1.0, np.nan]), 5.0)
 
 
 class TestOscillatoryPowerIntegral:
@@ -281,6 +339,15 @@ class TestOscillatoryPowerIntegral:
         a = nm.oscillatory_power_integral(1.3, -1.0, +1)
         b = nm.oscillatory_power_integral(1.3, -1.0, +1)
         assert a == b
+
+    @pytest.mark.parametrize("p", [-1.0, 0.0])
+    def test_array_omega_matches_closed_form(self, p):
+        omegas = np.geomspace(0.1, 3.0, 30)
+        got = nm.oscillatory_power_integral(omegas, p, -1)
+        assert isinstance(nm.oscillatory_power_integral(1.0, p, -1), complex)
+        assert got.shape == omegas.shape
+        for om, val in zip(omegas, got):
+            assert relerr(val, closed_form_oscillatory(float(om), p, -1)) < 1e-9
 
 
 class TestQuadratureConfig:

@@ -184,6 +184,23 @@ class TestMirrorScenario:
         with pytest.raises(DomainError):
             pt.accel_mirror_mode_probability(0.0, params())
 
+    def test_both_runs_the_quadrature(self):
+        # the residual of the rotated quadrature against the closed form,
+        # not a constant placeholder
+        grid = np.geomspace(0.1, 3.0, 30)
+        spec = pt.ScenarioSpec(pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params(), pt.Method.BOTH)
+        residuals = [r.error_estimate for r in pt.spectrum_sweep(spec, grid).records]
+        assert max(residuals) < 1e-9
+        assert len(set(residuals)) > 1
+
+    def test_quad_error_bounds_the_deviation(self):
+        grid = np.geomspace(0.1, 3.0, 30)
+        quad = pt.ScenarioSpec(pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params(), pt.Method.QUADRATURE)
+        closed = pt.ScenarioSpec(pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params())
+        for q, c in zip(pt.spectrum_sweep(quad, grid).records, pt.spectrum_sweep(closed, grid).records):
+            assert 0.0 < q.error_estimate < 1e-12
+            assert abs(q.probability - c.probability) <= q.error_estimate
+
 
 class TestAtomAboveMirror:
     def test_thermal_factor(self):

@@ -195,6 +195,15 @@ class TestEquivalence:
 
 
 class TestTemperatures:
+    def test_si_constants_match_scipy(self):
+        from scipy import constants
+
+        assert st.SI_H == constants.h
+        assert st.SI_HBAR == constants.hbar
+        assert st.SI_C == constants.c
+        assert st.SI_K == constants.k
+        assert st.SI_G == constants.G
+
     def test_unruh_normalization(self):
         assert st.temperatures(alpha=2.0 * math.pi).t_unruh == pytest.approx(1.0, rel=1e-14)
 
