@@ -11,7 +11,8 @@ echoed into the output metadata so runs are reproducible.  Output files
 are deterministic byte for byte for a fixed configuration and version.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numeric
-domain error.  ``RINDLER_LAB_THREADS`` is still validated as an integer but
+domain error or numeric non-convergence (such as an exhausted quadrature
+budget).  ``RINDLER_LAB_THREADS`` is still validated as an integer but
 has no effect: each sweep integrates its whole grid as one batch.
 """
 
@@ -29,7 +30,7 @@ import click
 import numpy as np
 
 from . import __version__, numerics, perturbation, spacetime, vacua
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .modes import ModeKind, ModeSpec, eval_mode
 from .perturbation import Method, Scenario, ScenarioSpec, Spectrum
 from .spacetime import DimensionlessParams, EventRindler
@@ -475,7 +476,7 @@ def spectrum(config_path, scenario, method, grid_token, output_path, output_form
         _fail(exc, EXIT_CONFIG_ERROR)
     try:
         result = perturbation.spectrum_sweep(spec, grid_values, max_workers=workers)
-    except DomainError as exc:
+    except (DomainError, ConvergenceError) as exc:
         _fail(exc, EXIT_DOMAIN_ERROR)
     effective = cfg.effective()
     writer = write_spectrum_csv if cfg.output_format == "csv" else write_spectrum_json
@@ -500,7 +501,7 @@ def verify(checks, config_path):
         reports = run_verify(names)
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)
-    except DomainError as exc:
+    except (DomainError, ConvergenceError) as exc:
         _fail(exc, EXIT_DOMAIN_ERROR)
     failed = False
     for rep in reports:

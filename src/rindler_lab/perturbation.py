@@ -1,4 +1,4 @@
-"""First-order excitation and emission probabilities for four scenarios.
+"""First-order excitation and emission probabilities for five scenarios.
 
 Scenarios
 ---------
@@ -13,7 +13,8 @@ Scenarios
     ``omega * z0 >> 1``.
 ``ACCEL_ATOM_MIRROR``
     Accelerated atom above a static mirror, inertial vacuum.  Rate-squared
-    normalized excitation probability, thermal in ``omega/alpha``.
+    normalized excitation probability, thermal in ``omega/alpha``.  Closed
+    form only: no independent quadrature route exists for it.
 ``ACCEL_MIRROR_STATIC_ATOM``
     Static atom below an accelerated mirror, boost vacuum.  Per-mode
     emission probabilities are thermal in the mode frequency while the
@@ -39,7 +40,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,18 +93,15 @@ class ScenarioSpec:
     params: DimensionlessParams
     method: Method = Method.CLOSED_FORM
 
-    def __post_init__(self) -> None:
-        if self.scenario is Scenario.FREEFALL_BH and self.params.v0 <= 0.0:
-            raise DomainError("freefall-bh requires v0 > 0")
-
 
 @dataclass(frozen=True)
 class SpectrumRecord:
     """One frequency point of a scenario spectrum.
 
     ``probability`` equals ``|amplitude|**2`` whenever ``amplitude`` is
-    present; ``error_estimate`` is the numerical error bound of the method
-    (0 for closed forms, the cross-method residual for ``Method.BOTH``).
+    present.  ``error_estimate`` is 0 for closed forms, the quadrature
+    error bound propagated to the probability for ``Method.QUADRATURE``,
+    and the relative cross-method residual for ``Method.BOTH``.
     """
 
     freq: float
@@ -164,40 +162,22 @@ def accel_atom_probability(
     only as a pure phase, so the probability depends on ``omega * ell``
     alone.
     """
-    return _accel_atom_records(params, [params.omega_atom], method, cfg)[0]
+    return _records(Scenario.ACCEL_ATOM, params, [params.omega_atom], method, cfg)[0]
 
 
-def _accel_atom_records(
-    params: DimensionlessParams,
-    gaps: Sequence[float],
-    method: Method,
-    cfg: QuadratureConfig,
-) -> list[SpectrumRecord]:
-    # one record per dimensionless gap omega * ell; the quadrature runs as
-    # one batch over all of them
+def _accel_atom_closed(params: DimensionlessParams, gaps: list[float]):
     g, ell = params.coupling_g, params.ell
-    if any(om_ell <= 0 for om_ell in gaps):
-        raise DomainError("omega_atom must be positive")
-    if method is not Method.QUADRATURE:
-        closed = [
-            2.0 * math.pi * g * g * ell * ell / om_ell * planck_factor(2.0 * math.pi * om_ell)
-            for om_ell in gaps
-        ]
-    if method is Method.CLOSED_FORM:
-        return [SpectrumRecord(om, p, cmath.sqrt(p), "closed", 0.0) for om, p in zip(gaps, closed)]
-    kernel = numerics.oscillatory_power_integral(np.asarray(gaps), -1.0, -1, cfg)
-    amps = (g * ell * kernel).tolist()
-    if method is Method.QUADRATURE:
-        return [
-            SpectrumRecord(
-                om, abs(amp) ** 2, amp, "quad", max(cfg.rel_tol * abs(amp) ** 2, cfg.abs_tol)
-            )
-            for om, amp in zip(gaps, amps)
-        ]
-    return [
-        SpectrumRecord(om, p, cmath.sqrt(p), "both", abs(abs(amp) ** 2 - p) / p)
-        for om, amp, p in zip(gaps, amps, closed)
+    probs = [
+        2.0 * math.pi * g * g * ell * ell / om_ell * planck_factor(2.0 * math.pi * om_ell)
+        for om_ell in gaps
     ]
+    return probs, [cmath.sqrt(p) for p in probs]
+
+
+def _accel_atom_quad(params: DimensionlessParams, gaps: np.ndarray, cfg: QuadratureConfig):
+    kernel = numerics.oscillatory_power_quad(gaps, -1.0, -1, cfg)
+    scale = params.coupling_g * params.ell
+    return scale * kernel.value, scale * kernel.error
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +185,12 @@ def _accel_atom_records(
 # ---------------------------------------------------------------------------
 
 
-def _static_atom_amplitude_exact(nu_ell: float, x_upper: float, g: float, omega: float) -> complex:
-    # amplitude = (g/omega) e^{-pi nu ell/2} gamma(1 + i nu ell, -i X)
-    gam = numerics.lower_incomplete_gamma(complex(1.0, nu_ell), complex(0.0, -x_upper))
-    return (g / omega) * math.exp(-math.pi * nu_ell / 2.0) * gam
+def _static_atom_scales(params: DimensionlessParams) -> tuple[float, float]:
+    # amplitude prefactor g/omega and ray length X = 2 omega z0
+    omega, z0 = params.omega_atom / params.ell, params.z0
+    if omega <= 0 or z0 <= 0:
+        raise DomainError("omega and z0 must be positive")
+    return params.coupling_g / omega, 2.0 * omega * z0
 
 
 def static_atom_rindler_probability(
@@ -224,92 +206,75 @@ def static_atom_rindler_probability(
     the asymptotic (far-atom) limit is the thermal
     ``P ~ (2 pi nu ell g**2 / omega**2) * 1/(exp(2 pi nu ell) - 1)``.
     The quadrature route integrates the mode phase over the crossing
-    interval directly (:func:`~rindler_lab.numerics.finite_ray_integral`);
-    ``error_estimate`` reports the quadrature bound on the probability,
-    and for ``Method.BOTH`` the exact-vs-quadrature residual.
+    interval directly (:func:`~rindler_lab.numerics.finite_ray_integral`).
+    Above ``2 omega z0 = LARGE_X_SWITCH``, where the closed route returns
+    the regularized limit, ``Method.BOTH`` checks it against the rotated
+    contour of that limit instead of the finite ray.
 
     The thermal factor is a function of the field frequency here, not of
     the atom gap.
     """
-    return _static_atom_records(params, [params.nu_field], method, cfg)[0]
+    return _records(Scenario.STATIC_ATOM_RINDLER_VAC, params, [params.nu_field], method, cfg)[0]
 
 
-def _static_atom_records(
-    params: DimensionlessParams,
-    nus: Sequence[float],
-    method: Method,
-    cfg: QuadratureConfig,
-) -> list[SpectrumRecord]:
-    # one record per dimensionless field frequency nu * ell; the ray
-    # quadrature runs as one batch over all of them
-    g, omega, z0 = params.coupling_g, params.omega_atom / params.ell, params.z0
-    if any(nu_ell <= 0 for nu_ell in nus):
-        raise DomainError("nu_field must be positive")
-    if omega <= 0 or z0 <= 0:
-        raise DomainError("omega and z0 must be positive")
-    x_upper = 2.0 * omega * z0
-    if method is not Method.QUADRATURE:
-        exact = [_static_atom_amplitude_exact(nu_ell, x_upper, g, omega) for nu_ell in nus]
-    if method is Method.CLOSED_FORM:
-        return [
-            SpectrumRecord(nu, abs(amp) ** 2, amp, "closed", 0.0) for nu, amp in zip(nus, exact)
-        ]
-    ray = numerics.finite_ray_integral(np.asarray(nus), x_upper, cfg)
-    amps = ((g / omega) * ray.value).tolist()
-    if method is Method.QUADRATURE:
-        amp_errors = (g / omega) * ray.error
-        return [
-            SpectrumRecord(nu, abs(amp) ** 2, amp, "quad", _probability_error(amp, err))
-            for nu, amp, err in zip(nus, amps, amp_errors.tolist())
-        ]
-    return [
-        SpectrumRecord(
-            nu,
-            abs(amp) ** 2,
-            amp,
-            "both",
-            abs(abs(amp_quad) ** 2 - abs(amp) ** 2) / max(abs(amp) ** 2, 1e-300),
-        )
-        for nu, amp, amp_quad in zip(nus, exact, amps)
+def _static_atom_closed(params: DimensionlessParams, nus: list[float]):
+    # amplitude = (g/omega) e^{-pi nu ell/2} gamma(1 + i nu ell, -i X)
+    scale, x_upper = _static_atom_scales(params)
+    amps = [
+        scale
+        * math.exp(-math.pi * nu_ell / 2.0)
+        * numerics.lower_incomplete_gamma(complex(1.0, nu_ell), complex(0.0, -x_upper))
+        for nu_ell in nus
     ]
+    return [abs(amp) ** 2 for amp in amps], amps
+
+
+def _static_atom_ray(params: DimensionlessParams, nus: np.ndarray, cfg: QuadratureConfig):
+    scale, x_upper = _static_atom_scales(params)
+    ray = numerics.finite_ray_integral(nus, x_upper, cfg)
+    return scale * ray.value, scale * ray.error
+
+
+def _static_atom_cross(params: DimensionlessParams, nus: np.ndarray, cfg: QuadratureConfig):
+    # the quadrature of whatever the closed route returns: the finite ray
+    # below the switch, the regularized limit above it
+    scale, x_upper = _static_atom_scales(params)
+    if x_upper <= numerics.LARGE_X_SWITCH:
+        return _static_atom_ray(params, nus, cfg)
+    limit = numerics.oscillatory_power_quad(nus, 0.0, +1, cfg)
+    return scale * limit.value, scale * limit.error
+
+
+def _static_atom_normalizer(params: DimensionlessParams, nu_ell: float) -> float:
+    omega = params.omega_atom / params.ell
+    return 2.0 * math.pi * nu_ell * (params.coupling_g * params.coupling_g) / (omega * omega)
 
 
 def static_atom_asymptotic_probability(params: DimensionlessParams) -> float:
     """Far-atom thermal limit of :func:`static_atom_rindler_probability`."""
     nu_ell = params.nu_field
-    g, omega = params.coupling_g, params.omega_atom / params.ell
     if nu_ell <= 0:
         raise DomainError("nu_field must be positive")
-    return (
-        2.0 * math.pi * nu_ell * g * g / (omega * omega) * planck_factor(2.0 * math.pi * nu_ell)
-    )
+    return _static_atom_normalizer(params, nu_ell) * planck_factor(2.0 * math.pi * nu_ell)
 
 
-def absorption_emission_ratio(
-    params: DimensionlessParams,
-    method: Method = Method.CLOSED_FORM,
-) -> float:
+def absorption_emission_ratio(params: DimensionlessParams) -> float:
     """Ratio of photon absorption to excitation-with-emission probability.
 
     Exact form
     ``exp(2 pi nu ell) * |gamma(1 + i nu ell, +2 i omega z0)|**2
-    / |gamma(1 + i nu ell, -2 i omega z0)|**2``;
-    the asymptotic method returns the thermal (detailed-balance) ratio
-    ``exp(2 pi nu ell)``, which the exact ratio approaches only for
+    / |gamma(1 + i nu ell, -2 i omega z0)|**2``, which approaches the
+    thermal (detailed-balance) ratio ``exp(2 pi nu ell)`` only for
     ``omega z0 >> 1``.
     """
     nu_ell = params.nu_field
-    omega, z0 = params.omega_atom / params.ell, params.z0
-    if nu_ell <= 0 or omega <= 0 or z0 <= 0:
-        raise DomainError("nu_field, omega and z0 must be positive")
-    thermal = math.exp(2.0 * math.pi * nu_ell)
-    if method is Method.QUADRATURE:
-        return thermal
-    x_upper = 2.0 * omega * z0
+    if nu_ell <= 0:
+        raise DomainError("nu_field must be positive")
+    _, x_upper = _static_atom_scales(params)
     s = complex(1.0, nu_ell)
     g_abs = numerics.lower_incomplete_gamma(s, complex(0.0, +x_upper))
     g_emit = numerics.lower_incomplete_gamma(s, complex(0.0, -x_upper))
-    return thermal * abs(g_abs) ** 2 / abs(g_emit) ** 2
+    return math.exp(2.0 * math.pi * nu_ell) * abs(g_abs) ** 2 / abs(g_emit) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +299,11 @@ def w_omega(
     slowly varying argument of ``Gamma(i Omega)`` (which starts at
     ``-pi/2`` at small ``Omega``) on top of the log phase.
 
-    The quadrature route rotates the defining half-line time integral
-    onto the imaginary axis.  ``rotation = -1`` evaluates the kernel of
-    the opposite half line, whose orientation is fixed here so that
+    The quadrature route replaces the closed core
+    ``exp(-pi Omega/2) Gamma(i Omega)`` by the defining half-line time
+    integral, rotated onto the imaginary axis.  ``rotation = -1``
+    evaluates the kernel of the opposite half line, whose orientation is
+    fixed here so that
     ``w_omega(..., rotation=-1) == conj(w_omega(..., rotation=+1))``.
     """
     if omega_mode <= 0:
@@ -345,30 +312,13 @@ def w_omega(
         raise DomainError("omega_atom and ell must be positive")
     if rotation not in (+1, -1):
         raise DomainError("rotation must be +1 or -1")
-    if method is Method.QUADRATURE:
-        w, _ = _w_omega_quad(np.array([omega_mode]), omega_atom, ell, rotation, cfg)
-        return complex(w[0])
     om = omega_mode
     phase = cmath.exp(-1j * rotation * om * math.log(omega_atom * ell))
-    core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
+    if method is Method.QUADRATURE:
+        core = numerics.oscillatory_power_integral(om, -1.0, rotation, cfg)
+    else:
+        core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
     return rotation * 1j * om * phase * core
-
-
-def _w_omega_quad(
-    modes: np.ndarray,
-    omega_atom: float,
-    ell: float,
-    rotation: int,
-    cfg: QuadratureConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature route of :func:`w_omega` over an array of mode frequencies.
-
-    Returns the kernel values and bounds on their errors, from one batched
-    rotated quadrature.
-    """
-    core = numerics.oscillatory_power_quad(modes, -1.0, rotation, cfg)
-    phase = np.exp(-1j * rotation * modes * math.log(omega_atom * ell))
-    return rotation * 1j * modes * phase * core.value, modes * core.error
 
 
 def mirror_family_amplitudes(
@@ -402,49 +352,25 @@ def accel_mirror_mode_probability(
     (the pure-state correlations between frequencies) is preserved.  The
     mirror-reflected family-2 amplitude, available from
     :func:`mirror_family_amplitudes`, interferes and is not thermal on its
-    own.
-
-    ``Method.QUADRATURE`` evaluates the overlap kernel by rotated
-    quadrature and reports its error bound on the probability;
-    ``Method.BOTH`` keeps the closed-form record and reports the relative
-    residual of the quadrature probability against it.
+    own.  Its quadrature route evaluates the overlap kernel by rotated
+    quadrature.
     """
-    return _mirror_records(params, [omega_mode], method, DEFAULT_QUAD_CONFIG)[0]
+    return _records(Scenario.ACCEL_MIRROR_STATIC_ATOM, params, [omega_mode], method)[0]
 
 
-def _mirror_records(
-    params: DimensionlessParams,
-    modes: Sequence[float],
-    method: Method,
-    cfg: QuadratureConfig,
-) -> list[SpectrumRecord]:
-    # family-3 records, one per mode frequency; the rotated quadrature of
-    # the overlap kernel runs as one batch over all of them.  ``quad``
-    # reports the quadrature bound, ``both`` the relative residual of the
-    # quadrature probability against the closed form.
-    if any(om <= 0 for om in modes):
-        raise DomainError("omega_mode must be positive")
-    if method is not Method.QUADRATURE:
-        closed = [mirror_family_amplitudes(om, params)[3] for om in modes]
-    if method is Method.CLOSED_FORM:
-        return [
-            SpectrumRecord(om, abs(amp) ** 2, amp, "closed", 0.0) for om, amp in zip(modes, closed)
-        ]
-    grid = np.asarray(modes)
-    w, w_err = _w_omega_quad(grid, params.omega_atom / params.ell, params.ell, +1, cfg)
-    pref = params.coupling_g / np.sqrt(4.0 * math.pi * grid)
-    amps = (pref * w).tolist()
-    if method is Method.QUADRATURE:
-        return [
-            SpectrumRecord(om, abs(amp) ** 2, amp, "quad", _probability_error(amp, err))
-            for om, amp, err in zip(modes, amps, (pref * w_err).tolist())
-        ]
-    return [
-        SpectrumRecord(
-            om, abs(amp) ** 2, amp, "both", abs(abs(amp_quad) ** 2 - abs(amp) ** 2) / abs(amp) ** 2
-        )
-        for om, amp, amp_quad in zip(modes, closed, amps)
-    ]
+def _mirror_closed(params: DimensionlessParams, modes: list[float]):
+    # family-3 amplitude per mode frequency
+    amps = [mirror_family_amplitudes(om, params)[3] for om in modes]
+    return [abs(amp) ** 2 for amp in amps], amps
+
+
+def _mirror_quad(params: DimensionlessParams, modes: np.ndarray, cfg: QuadratureConfig):
+    # w_omega's quadrature route (rotation +1) over the whole grid; the log
+    # phase keeps w_omega's rounding of the gap, (omega_atom / ell) * ell
+    core = numerics.oscillatory_power_quad(modes, -1.0, +1, cfg)
+    phase = np.exp(-1j * modes * math.log(params.omega_atom / params.ell * params.ell))
+    pref = params.coupling_g / np.sqrt(4.0 * math.pi * modes)
+    return pref * (1j * modes * phase * core.value), pref * (modes * core.error)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +403,11 @@ def accel_atom_mirror_amplitudes(omega_over_a: float) -> tuple[complex, complex]
     return complex(n), complex(-n)
 
 
+def _atom_mirror_closed(params: DimensionlessParams, gaps: list[float]):
+    probs = [accel_atom_mirror_probability(w) for w in gaps]
+    return probs, [cmath.sqrt(p) for p in probs]
+
+
 # ---------------------------------------------------------------------------
 # scenario: free fall outside a horizon (exact delegation)
 # ---------------------------------------------------------------------------
@@ -501,58 +432,83 @@ def freefall_bh_probability(
 ) -> SpectrumRecord:
     """Emission probability for the infalling atom; bitwise equal to the
     static-atom scenario evaluated at the mapped parameters."""
-    return static_atom_rindler_probability(freefall_map(params), method, cfg)
+    return _records(Scenario.FREEFALL_BH, freefall_map(params), [params.nu_field], method, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
-# sweeps and thermal fits
+# the scenario table, records and thermal fits
 # ---------------------------------------------------------------------------
 
 
-def _records_for(spec: ScenarioSpec, freqs: list[float]) -> list[SpectrumRecord]:
-    p, method, cfg = spec.params, spec.method, DEFAULT_QUAD_CONFIG
-    sc = spec.scenario
-    if sc is Scenario.ACCEL_ATOM:
-        return _accel_atom_records(p, freqs, method, cfg)
-    if sc is Scenario.STATIC_ATOM_RINDLER_VAC:
-        return _static_atom_records(p, freqs, method, cfg)
-    if sc is Scenario.FREEFALL_BH:
-        return _static_atom_records(freefall_map(p), freqs, method, cfg)
-    if sc is Scenario.ACCEL_MIRROR_STATIC_ATOM:
-        return _mirror_records(p, freqs, method, cfg)
-    if sc is Scenario.ACCEL_ATOM_MIRROR:
-        probs = [accel_atom_mirror_probability(f) for f in freqs]
+class _Routes(NamedTuple):
+    """How one scenario evaluates a list of frequencies.
+
+    ``closed(params, freqs)`` gives ``(probabilities, amplitudes)``;
+    ``quad(params, grid, cfg)`` gives ``(amplitudes, their error bounds)``
+    from one batched quadrature, or is ``None`` for a closed-form-only
+    scenario; ``cross`` is what ``Method.BOTH`` checks the closed form
+    against, when not ``quad``.  ``normalizer(params, freq)`` is the
+    non-thermal prefactor that divides a probability before the Planck fit.
+    """
+
+    closed: Callable
+    normalizer: Callable
+    quad: Optional[Callable] = None
+    cross: Optional[Callable] = None
+
+
+_STATIC_ATOM = _Routes(
+    _static_atom_closed, _static_atom_normalizer, _static_atom_ray, _static_atom_cross
+)
+
+# Freefall shares the static-atom routes; its parameters are mapped by
+# freefall_map before they reach them.
+_SCENARIOS: dict[Scenario, _Routes] = {
+    Scenario.ACCEL_ATOM: _Routes(
+        _accel_atom_closed,
+        lambda p, om_ell: 2.0 * math.pi * (p.coupling_g * p.coupling_g) * p.ell * p.ell / om_ell,
+        _accel_atom_quad,
+    ),
+    Scenario.STATIC_ATOM_RINDLER_VAC: _STATIC_ATOM,
+    Scenario.FREEFALL_BH: _STATIC_ATOM,
+    Scenario.ACCEL_MIRROR_STATIC_ATOM: _Routes(
+        _mirror_closed, lambda p, om: 0.5 * (p.coupling_g * p.coupling_g), _mirror_quad
+    ),
+    Scenario.ACCEL_ATOM_MIRROR: _Routes(
+        _atom_mirror_closed, lambda p, w: 1.0 / (2.0 * math.pi * w)
+    ),
+}
+
+
+def _records(
+    scenario: Scenario,
+    params: DimensionlessParams,
+    freqs: list[float],
+    method: Method,
+    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG,
+) -> list[SpectrumRecord]:
+    """Records of ``scenario`` by ``method``; freefall takes mapped ``params``."""
+    routes = _SCENARIOS[scenario]
+    if not all(f > 0 for f in freqs):
+        raise DomainError(f"{scenario.value} frequencies must be positive")
+    if method is Method.CLOSED_FORM:
+        probs, amps = routes.closed(params, freqs)
+        return [SpectrumRecord(f, p, a, "closed", 0.0) for f, p, a in zip(freqs, probs, amps)]
+    if routes.quad is None:
+        raise DomainError(f"{scenario.value} is closed-form only; it has no {method.value!r} route")
+    grid = np.asarray(freqs)
+    if method is Method.QUADRATURE:
+        amps, amp_errors = routes.quad(params, grid, cfg)
         return [
-            SpectrumRecord(f, q, cmath.sqrt(q), method.value, 0.0) for f, q in zip(freqs, probs)
+            SpectrumRecord(f, abs(a) ** 2, a, "quad", _probability_error(a, e))
+            for f, a, e in zip(freqs, amps.tolist(), amp_errors.tolist())
         ]
-    raise DomainError(f"unknown scenario {sc!r}")  # pragma: no cover
-
-
-def _thermal_normalizer(spec: ScenarioSpec, freq: float) -> float:
-    """Non-thermal prefactor dividing the probability before the Planck fit."""
-    p = spec.params
-    g2 = p.coupling_g * p.coupling_g
-    sc = spec.scenario
-    if sc is Scenario.ACCEL_ATOM:
-        return 2.0 * math.pi * g2 * p.ell * p.ell / freq
-    if sc is Scenario.STATIC_ATOM_RINDLER_VAC:
-        omega = p.omega_atom / p.ell
-        return 2.0 * math.pi * freq * g2 / (omega * omega)
-    if sc is Scenario.FREEFALL_BH:
-        mapped = freefall_map(p)
-        omega = mapped.omega_atom / mapped.ell
-        return 2.0 * math.pi * freq * g2 / (omega * omega)
-    if sc is Scenario.ACCEL_MIRROR_STATIC_ATOM:
-        return 0.5 * g2
-    if sc is Scenario.ACCEL_ATOM_MIRROR:
-        return 1.0 / (2.0 * math.pi * freq)
-    raise DomainError(f"unknown scenario {sc!r}")  # pragma: no cover
-
-
-def _scenario_ell(spec: ScenarioSpec) -> float:
-    if spec.scenario is Scenario.FREEFALL_BH:
-        return 2.0 * spec.params.rg
-    return spec.params.ell
+    probs, amps = routes.closed(params, freqs)
+    independent, _ = (routes.cross or routes.quad)(params, grid, cfg)
+    return [
+        SpectrumRecord(f, p, a, "both", abs(abs(q) ** 2 - p) / max(p, 1e-300))
+        for f, p, a, q in zip(freqs, probs, amps, independent.tolist())
+    ]
 
 
 def spectrum_sweep(
@@ -580,19 +536,20 @@ def spectrum_sweep(
         raise DomainError("freq_grid must be finite")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise DomainError("freq_grid must be strictly increasing")
+    params = spec.params
+    if spec.scenario is Scenario.FREEFALL_BH:
+        params = freefall_map(params)
     if not freqs:
         return Spectrum((), spec, None, None)
 
-    records = tuple(_records_for(spec, freqs))
+    records = tuple(_records(spec.scenario, params, freqs, spec.method))
 
     fitted_t: Optional[float] = None
     residual: Optional[float] = None
     if len(records) >= 4:
-        ell = _scenario_ell(spec)
-        x = np.array([r.freq / ell for r in records])
-        p_norm = np.array(
-            [r.probability / _thermal_normalizer(spec, r.freq) for r in records]
-        )
+        normalizer = _SCENARIOS[spec.scenario].normalizer
+        x = np.array([r.freq / params.ell for r in records])
+        p_norm = np.array([r.probability / normalizer(params, r.freq) for r in records])
         if np.all(p_norm > 0.0):
             y = np.log1p(1.0 / p_norm)
             slope = float(np.dot(x, y) / np.dot(x, x))

@@ -126,11 +126,24 @@ class TestSpectrumCommand:
         assert result.exit_code == cli.EXIT_CONFIG_ERROR
 
     def test_bad_param_value_is_domain_error(self, runner):
-        result = invoke(
-            runner, "spectrum", "--scenario", "freefall-bh", "--param", "v0=0.9",
-            "--grid", "0.5:2:4",
+        for v0 in ("0.9", "0"):
+            result = invoke(
+                runner, "spectrum", "--scenario", "freefall-bh", "--param", f"v0={v0}",
+                "--grid", "0.5:2:4",
+            )
+            assert result.exit_code == cli.EXIT_DOMAIN_ERROR, v0
+
+    def test_quadrature_budget_exhaustion_is_numeric_error(self, runner):
+        # the finite ray X = 2e4 needs far more than the panel budget
+        result = runner.invoke(
+            cli.main,
+            [
+                "spectrum", "--scenario", "freefall-bh", "--method", "quad",
+                "--param", "omega_atom=100000", "--grid", "0.25:4:4:log",
+            ],
         )
         assert result.exit_code == cli.EXIT_DOMAIN_ERROR
+        assert "error: quadrature error" in result.output
 
 
 class TestVerifyCommand:

@@ -195,11 +195,14 @@ class TestMirrorScenario:
 
     def test_quad_error_bounds_the_deviation(self):
         grid = np.geomspace(0.1, 3.0, 30)
-        quad = pt.ScenarioSpec(pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params(), pt.Method.QUADRATURE)
-        closed = pt.ScenarioSpec(pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params())
-        for q, c in zip(pt.spectrum_sweep(quad, grid).records, pt.spectrum_sweep(closed, grid).records):
-            assert 0.0 < q.error_estimate < 1e-12
-            assert abs(q.probability - c.probability) <= q.error_estimate
+        for scenario in (pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, pt.Scenario.ACCEL_ATOM):
+            quad = pt.ScenarioSpec(scenario, params(), pt.Method.QUADRATURE)
+            closed = pt.ScenarioSpec(scenario, params())
+            for q, c in zip(
+                pt.spectrum_sweep(quad, grid).records, pt.spectrum_sweep(closed, grid).records
+            ):
+                assert 0.0 < q.error_estimate < 1e-12, scenario
+                assert abs(q.probability - c.probability) <= q.error_estimate, scenario
 
 
 class TestAtomAboveMirror:
@@ -240,6 +243,14 @@ class TestFreeFall:
     def test_speed_domain(self):
         with pytest.raises(DomainError):
             pt.freefall_map(params(v0=0.0))
+
+    def test_both_above_the_switch_compares_like_with_like(self):
+        # README freefall grid: 2 omega z0 = 200 > LARGE_X_SWITCH, where the
+        # closed route is the regularized limit and so is the check
+        p = params(v0=0.1, rg=1.0, omega_atom=1000.0)
+        spec = pt.ScenarioSpec(pt.Scenario.FREEFALL_BH, p, pt.Method.BOTH)
+        records = pt.spectrum_sweep(spec, np.geomspace(0.25, 4.0, 12)).records
+        assert max(r.error_estimate for r in records) < 1e-9
 
 
 class TestSpectrumSweep:
@@ -297,6 +308,18 @@ class TestSpectrumSweep:
         parallel = pt.spectrum_sweep(spec, grid, max_workers=4)
         assert serial.records == parallel.records
         assert serial.fitted_temperature == parallel.fitted_temperature
+
+    @pytest.mark.parametrize("method", list(pt.Method))
+    @pytest.mark.parametrize("scenario", list(pt.Scenario))
+    def test_record_method_is_what_was_computed(self, scenario, method):
+        spec = pt.ScenarioSpec(scenario, params(z0=10.0), method)
+        grid = [0.5, 1.0, 2.0]
+        if scenario is pt.Scenario.ACCEL_ATOM_MIRROR and method is not pt.Method.CLOSED_FORM:
+            # closed form only: no quadrature to label "quad" or "both"
+            with pytest.raises(DomainError, match=scenario.value):
+                pt.spectrum_sweep(spec, grid)
+            return
+        assert [r.method for r in pt.spectrum_sweep(spec, grid).records] == [method.value] * 3
 
     def test_coupling_scaling_across_sweep(self):
         grid = np.geomspace(0.3, 2.0, 6)
