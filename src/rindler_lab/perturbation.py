@@ -299,11 +299,9 @@ def w_omega(
     slowly varying argument of ``Gamma(i Omega)`` (which starts at
     ``-pi/2`` at small ``Omega``) on top of the log phase.
 
-    The quadrature route replaces the closed core
-    ``exp(-pi Omega/2) Gamma(i Omega)`` by the defining half-line time
-    integral, rotated onto the imaginary axis.  ``rotation = -1``
-    evaluates the kernel of the opposite half line, whose orientation is
-    fixed here so that
+    The quadrature route rotates the defining half-line time integral
+    onto the imaginary axis.  ``rotation = -1`` evaluates the kernel of
+    the opposite half line, whose orientation is fixed here so that
     ``w_omega(..., rotation=-1) == conj(w_omega(..., rotation=+1))``.
     """
     if omega_mode <= 0:
@@ -312,13 +310,22 @@ def w_omega(
         raise DomainError("omega_atom and ell must be positive")
     if rotation not in (+1, -1):
         raise DomainError("rotation must be +1 or -1")
+    if method is Method.QUADRATURE:
+        w, _ = _w_omega_quad(np.array([omega_mode]), omega_atom, ell, rotation, cfg)
+        return complex(w[0])
     om = omega_mode
     phase = cmath.exp(-1j * rotation * om * math.log(omega_atom * ell))
-    if method is Method.QUADRATURE:
-        core = numerics.oscillatory_power_integral(om, -1.0, rotation, cfg)
-    else:
-        core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
+    core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
     return rotation * 1j * om * phase * core
+
+
+def _w_omega_quad(
+    modes: np.ndarray, omega_atom: float, ell: float, rotation: int, cfg: QuadratureConfig
+):
+    # w_omega's quadrature route over a grid, batched: kernel values and error bounds
+    core = numerics.oscillatory_power_quad(modes, -1.0, rotation, cfg)
+    phase = np.exp(-1j * rotation * modes * math.log(omega_atom * ell))
+    return rotation * 1j * modes * phase * core.value, modes * core.error
 
 
 def mirror_family_amplitudes(
@@ -365,12 +372,9 @@ def _mirror_closed(params: DimensionlessParams, modes: list[float]):
 
 
 def _mirror_quad(params: DimensionlessParams, modes: np.ndarray, cfg: QuadratureConfig):
-    # w_omega's quadrature route (rotation +1) over the whole grid; the log
-    # phase keeps w_omega's rounding of the gap, (omega_atom / ell) * ell
-    core = numerics.oscillatory_power_quad(modes, -1.0, +1, cfg)
-    phase = np.exp(-1j * modes * math.log(params.omega_atom / params.ell * params.ell))
+    w, w_err = _w_omega_quad(modes, params.omega_atom / params.ell, params.ell, +1, cfg)
     pref = params.coupling_g / np.sqrt(4.0 * math.pi * modes)
-    return pref * (1j * modes * phase * core.value), pref * (modes * core.error)
+    return pref * w, pref * w_err
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +540,7 @@ def spectrum_sweep(
         raise DomainError("freq_grid must be finite")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise DomainError("freq_grid must be strictly increasing")
-    params = spec.params
-    if spec.scenario is Scenario.FREEFALL_BH:
-        params = freefall_map(params)
+    params = freefall_map(spec.params) if spec.scenario is Scenario.FREEFALL_BH else spec.params
     if not freqs:
         return Spectrum((), spec, None, None)
 

@@ -135,12 +135,9 @@ class TestSpectrumCommand:
 
     def test_quadrature_budget_exhaustion_is_numeric_error(self, runner):
         # the finite ray X = 2e4 needs far more than the panel budget
-        result = runner.invoke(
-            cli.main,
-            [
-                "spectrum", "--scenario", "freefall-bh", "--method", "quad",
-                "--param", "omega_atom=100000", "--grid", "0.25:4:4:log",
-            ],
+        result = invoke(
+            runner, "spectrum", "--scenario", "freefall-bh", "--method", "quad",
+            "--param", "omega_atom=100000", "--grid", "0.25:4:4:log",
         )
         assert result.exit_code == cli.EXIT_DOMAIN_ERROR
         assert "error: quadrature error" in result.output
