@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .modes import ModeKind, ModeSpec, NullULine, SurfaceSampling, kg_inner
 from .spacetime import EventRindler
@@ -208,29 +210,129 @@ def rindler_interval(x: EventRindler, xp: EventRindler, ell: float) -> complex:
     return ell * ell * (d_sinh * d_sinh - d_cosh * d_cosh)
 
 
-def kms_twist_residual(
-    pairs: Sequence[tuple[EventRindler, EventRindler]],
-    ell: float,
-    shift: float,
-) -> float:
-    """Worst twisted-correlator mismatch over the pairs at one imaginary shift.
+_NOT_FINITE = "KMS interval is not finite: ell is out of range for the sample events"
 
-    Evaluates ``|G(x; x') - G(x'; x + i*shift)|`` for each pair and returns
-    the maximum; zero (to roundoff) exactly at the period ``2 pi ell``.
+
+def _event_parts(events: Sequence[EventRindler], ell: float) -> tuple[np.ndarray, ...]:
+    """Per event: ``e^{zbar/ell}``, ``sinh`` and ``cosh`` of ``Re(tbar)/ell``, ``Im(tbar)``.
+
+    exp, sinh and cosh come from libm, as in :func:`rindler_interval`;
+    numpy's vectorized ones can differ in the last bit.
     """
-    worst = 0.0
-    for x, xp in pairs:
-        ds_direct = rindler_interval(x, xp, ell)
-        x_shifted = EventRindler(complex(x.tbar) + 1j * shift, x.zbar)
-        ds_twisted = rindler_interval(xp, x_shifted, ell)
+    tbar = [complex(e.tbar) for e in events]
+    try:
+        return (
+            np.array([math.exp(e.zbar / ell) for e in events]),
+            np.array([math.sinh(t.real / ell) for t in tbar]),
+            np.array([math.cosh(t.real / ell) for t in tbar]),
+            np.array([t.imag for t in tbar]),
+        )
+    except OverflowError as exc:
+        raise DomainError(_NOT_FINITE) from exc
+
+
+def _scaled_hyperbolics(
+    parts: tuple[np.ndarray, ...], ell: float, shift: float | np.ndarray = 0.0
+) -> tuple[np.ndarray, ...]:
+    """``e^{zbar/ell}`` times ``sinh`` and ``cosh`` of ``(tbar + i*shift)/ell``.
+
+    Returns the real and imaginary parts of each, formed as cmath forms
+    them; a shift array of shape ``(S, 1)`` gives ``(S, P)`` arrays for
+    ``P`` events.
+    """
+    scale, sinh_x, cosh_x, tbar_im = parts
+    y = (tbar_im + shift) / ell
+    cos_y, sin_y = np.cos(y), np.sin(y)
+    return (
+        scale * (cos_y * sinh_x),
+        scale * (sin_y * cosh_x),
+        scale * (cos_y * cosh_x),
+        scale * (sin_y * sinh_x),
+    )
+
+
+def _interval_array(
+    hyp_a: tuple[np.ndarray, ...], hyp_b: tuple[np.ndarray, ...], ell: float
+) -> np.ndarray:
+    """:func:`rindler_interval` from two events' scaled hyperbolics, checked.
+
+    Squares in real arithmetic, in the order of Python's complex product,
+    because numpy's complex product may fuse a multiply and an add.
+    """
+    s_re, s_im, c_re, c_im = (a - b for a, b in zip(hyp_a, hyp_b))
+    e2 = ell * ell
+    ds2 = e2 * ((s_re * s_re - s_im * s_im) - (c_re * c_re - c_im * c_im)) + 1j * (
+        e2 * ((s_re * s_im + s_im * s_re) - (c_re * c_im + c_im * c_re))
+    )
+    if not np.all(np.isfinite(ds2)):
+        raise DomainError(_NOT_FINITE)
+    if np.any(ds2 == 0):
+        raise DomainError("two-point function diverges at the coincidence limit")
+    return ds2
+
+
+def _g_array(ds2: np.ndarray, marker: np.ndarray) -> np.ndarray:
+    """:func:`two_point_minkowski_invariant` over an array of intervals."""
+    return -np.log(-ds2 + 1j * marker) / (4.0 * math.pi)
+
+
+def _twist_residual_fn(
+    pairs: Sequence[tuple[EventRindler, EventRindler]], ell: float
+) -> Callable[[float | np.ndarray], float | np.ndarray]:
+    """:func:`kms_twist_residual` of fixed pairs as a function of the shift.
+
+    The pairs become arrays once, and the direct interval, its time-order
+    marker and its ``G``, which do not depend on the shift, are computed
+    once; each call evaluates the twisted interval and its ``G`` over
+    shifts x pairs as one array operation and takes the maximum over pairs.
+    The intervals repeat :func:`rindler_interval`'s arithmetic step by step,
+    so they match it to the last bit wherever numpy's sin and cos match libm.
+    """
+    if not (ell > 0.0 and math.isfinite(ell)):
+        raise DomainError("ell must be positive and finite")
+    x_parts = _event_parts([p[0] for p in pairs], ell)
+    xp_parts = _event_parts([p[1] for p in pairs], ell)
+    # overflow becomes a non-finite interval, reported as a DomainError
+    with np.errstate(all="ignore"):
+        xp_hyp = _scaled_hyperbolics(xp_parts, ell)
+        ds_direct = _interval_array(_scaled_hyperbolics(x_parts, ell), xp_hyp, ell)
         # a consistent time-order marker keeps timelike intervals on one
         # side of the log cut; roundoff in the twisted interval would
         # otherwise pick the branch at random
-        marker = 1e-12 * max(1.0, abs(ds_direct))
-        g_direct = two_point_minkowski_invariant(ds_direct, marker)
-        g_twisted = two_point_minkowski_invariant(ds_twisted, marker)
-        worst = max(worst, abs(g_direct - g_twisted))
-    return worst
+        marker = 1e-12 * np.maximum(1.0, np.abs(ds_direct))
+        g_direct = _g_array(ds_direct, marker)
+
+    def residual(shift: float | np.ndarray) -> float | np.ndarray:
+        shift = np.asarray(shift, dtype=float)[..., None]
+        with np.errstate(all="ignore"):
+            x_shifted = _scaled_hyperbolics(x_parts, ell, shift)
+            g_twisted = _g_array(_interval_array(xp_hyp, x_shifted, ell), marker)
+        worst = np.max(np.abs(g_direct - g_twisted), axis=-1, initial=0.0)
+        return float(worst) if worst.ndim == 0 else worst
+
+    return residual
+
+
+def kms_twist_residual(
+    pairs: Sequence[tuple[EventRindler, EventRindler]],
+    ell: float,
+    shift: float | np.ndarray,
+) -> float | np.ndarray:
+    """Worst twisted-correlator mismatch over the pairs at imaginary shifts.
+
+    Evaluates ``|G(x; x') - G(x'; x + i*shift)|`` for each pair and returns
+    the maximum; zero (to roundoff) exactly at the period ``2 pi ell``.
+    A scalar ``shift`` gives a ``float``; an array of shifts is evaluated
+    as one array operation over shifts x pairs and gives an array of the
+    same shape.
+
+    Raises
+    ------
+    DomainError
+        If ``ell`` is not positive and finite, if an interval is not finite
+        (``ell`` too small for the events) or if one vanishes.
+    """
+    return _twist_residual_fn(pairs, ell)(shift)
 
 
 def kms_residual(
@@ -247,34 +349,32 @@ def kms_residual(
     difference over ``scan`` times ``2 pi ell``; ``t_extracted`` is the
     inverse fitted period, to be compared with ``1/(2 pi ell)``.
 
-    Requires at least 8 non-coincident pairs.
+    Requires a finite ``ell > 0``, a scan domain ``(lo, hi)`` with finite
+    ``0 < lo < hi``, at least 8 non-coincident pairs, and intervals that
+    stay finite; otherwise raises :class:`DomainError`.
     """
-    if ell <= 0:
-        raise DomainError("ell must be positive")
-    pairs = [(p[0], p[1]) for p in pairs]  # accepts TwoPointSample records too
+    lo, hi = scan
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise DomainError("scan must be (lo, hi) with finite 0 < lo < hi")
+    pairs = list(pairs)
     if len(pairs) < 8:
         raise DomainError("need at least 8 sample pairs")
-    for x, xp in pairs:
-        if complex(x.tbar) == complex(xp.tbar) and x.zbar == xp.zbar:
-            raise DomainError("coincident sample pair")
+    twist = _twist_residual_fn(pairs, ell)  # a coincident pair has a zero interval
     period = 2.0 * math.pi * ell
-    max_residual = kms_twist_residual(pairs, ell, period)
+    max_residual = twist(period)
     # the residual is a needle: flat near 0.5 almost everywhere and dropping
     # to roundoff only within a sliver of the true period, so a bounded
     # minimizer alone walks off; bracket with two grid refinements first
-    lo, hi = scan
     left, right = lo * period, hi * period
     for _ in range(2):
-        shifts = [left + k * (right - left) / 240.0 for k in range(241)]
-        values = [kms_twist_residual(pairs, ell, sh) for sh in shifts]
-        k_min = min(range(len(shifts)), key=values.__getitem__)
-        left = shifts[max(0, k_min - 1)]
-        right = shifts[min(len(shifts) - 1, k_min + 1)]
-    fitted_period, fitted_residual = _golden_section_min(
-        lambda sh: kms_twist_residual(pairs, ell, sh), left, right, 1e-10 * period
-    )
+        shifts = left + np.arange(241) * (right - left) / 240.0
+        values = twist(shifts)
+        k_min = int(np.argmin(values))
+        left = float(shifts[max(0, k_min - 1)])
+        right = float(shifts[min(len(shifts) - 1, k_min + 1)])
+    fitted_period, fitted_residual = _golden_section_min(twist, left, right, 1e-10 * period)
     if fitted_residual > values[k_min]:
-        fitted_period = shifts[k_min]
+        fitted_period = float(shifts[k_min])
     return KmsScanResult(max_residual, fitted_period, 1.0 / fitted_period)
 
 

@@ -232,6 +232,35 @@ class TestKmsCheckCommand:
         assert result.exit_code == 0
         assert "extracted temperature" in result.output
 
+    @pytest.mark.parametrize(
+        "ell, message",
+        [
+            ("nan", "ell must be positive and finite"),
+            ("inf", "ell must be positive and finite"),
+            ("0", "ell must be positive and finite"),
+            ("-1", "ell must be positive and finite"),
+            ("1e-300", "not finite"),
+            ("0.005", "not finite"),
+            ("1e200", "not finite"),
+        ],
+    )
+    def test_bad_ell_exits_3(self, runner, ell, message):
+        result = invoke(runner, "kms-check", "--ell", ell)
+        assert result.exit_code == cli.EXIT_DOMAIN_ERROR
+        assert "error: " in result.output and message in result.output
+        assert "fitted period" not in result.output
+
+    def test_too_few_pairs_exits_3(self, runner):
+        result = invoke(runner, "kms-check", "--pairs", "4")
+        assert result.exit_code == cli.EXIT_DOMAIN_ERROR
+        assert "error: need at least 8 sample pairs" in result.output
+
+    def test_same_pairs_as_verify(self, runner):
+        # verify's kms-twist check and the default kms-check share the sampler
+        check = cli._check_kms_twist()
+        result = invoke(runner, "kms-check")
+        assert f"max residual at shift 2 pi ell: {check.measured:.3e}" in result.output
+
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: the runtime must not import it

@@ -1,9 +1,12 @@
 """Bogoliubov machinery and the KMS periodicity extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rindler_lab import vacua as vc
 from rindler_lab.errors import DomainError
@@ -193,3 +196,108 @@ class TestKmsResidual:
     def test_accepts_two_point_sample_records(self):
         samples = [vc.TwoPointSample(x, xp) for x, xp in random_pairs(12)]
         assert vc.kms_residual(samples, ell=1.0).max_residual < 1e-10
+
+    def test_scalar_shift_gives_float(self):
+        value = vc.kms_twist_residual(random_pairs(8), 1.0, 2.0 * math.pi)
+        assert type(value) is float
+
+
+def per_shift_reference(pairs, ell, shift):
+    """The twisted residual at one shift from the public scalar functions."""
+    worst = 0.0
+    for x, xp in pairs:
+        ds_direct = vc.rindler_interval(x, xp, ell)
+        x_shifted = EventRindler(complex(x.tbar) + 1j * shift, x.zbar)
+        ds_twisted = vc.rindler_interval(xp, x_shifted, ell)
+        marker = 1e-12 * max(1.0, abs(ds_direct))
+        g_direct = vc.two_point_minkowski_invariant(ds_direct, marker)
+        g_twisted = vc.two_point_minkowski_invariant(ds_twisted, marker)
+        worst = max(worst, abs(g_direct - g_twisted))
+    return worst
+
+
+_coord = st.floats(-2.0, 2.0)
+_event = st.builds(EventRindler, _coord, _coord)
+
+
+class TestTwistResidualArray:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_event, _event), min_size=1, max_size=12),
+        ell=st.floats(0.5, 2.0),
+        periods=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+    )
+    def test_matches_per_shift_reference(self, pairs, ell, periods):
+        shifts = 2.0 * math.pi * ell * np.array(periods)
+        try:
+            want = [per_shift_reference(pairs, ell, float(sh)) for sh in shifts]
+        except DomainError:
+            # a vanishing interval: the array route must refuse it too
+            with pytest.raises(DomainError):
+                vc.kms_twist_residual(pairs, ell, shifts)
+            return
+        got = vc.kms_twist_residual(pairs, ell, shifts)
+        assert got.shape == shifts.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert vc.kms_twist_residual(pairs, ell, float(shifts[0])) == got[0]
+
+    def test_complex_times_match_reference(self):
+        pairs = [
+            (
+                EventRindler(complex(x.tbar, 0.1 * k), x.zbar),
+                EventRindler(complex(xp.tbar, -0.05 * k), xp.zbar),
+            )
+            for k, (x, xp) in enumerate(random_pairs(10))
+        ]
+        shifts = np.linspace(0.5, 1.5, 7) * 2.0 * math.pi * 1.3
+        want = [per_shift_reference(pairs, 1.3, float(sh)) for sh in shifts]
+        got = vc.kms_twist_residual(pairs, 1.3, shifts)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_shift_array_shape_is_kept(self):
+        shifts = np.full((2, 3), 2.0 * math.pi)
+        got = vc.kms_twist_residual(random_pairs(8), 1.0, shifts)
+        assert got.shape == (2, 3)
+        assert np.all(got < 1e-10)
+
+
+class TestKmsDomainEdges:
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_ell(self, ell):
+        with pytest.raises(DomainError, match="ell must be positive and finite"):
+            vc.kms_residual(random_pairs(8), ell)
+        with pytest.raises(DomainError, match="ell must be positive and finite"):
+            vc.kms_twist_residual(random_pairs(8), ell, 1.0)
+
+    @pytest.mark.parametrize("ell", [1e-300, 1e-3, 0.005, 1e200])
+    def test_overflowing_intervals_fail_without_warnings(self, ell):
+        # 1e-300 and 1e-3 overflow exp or sinh per event, 0.005 the array
+        # products, and 1e200 overflows ell**2 (it used to halve the period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                vc.kms_residual(random_pairs(8), ell)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            (0.0, 1.5),
+            (-1.0, 1.5),
+            (0.9, 0.9),
+            (1.5, 0.5),
+            (0.5, math.inf),
+            (math.nan, 1.5),
+            (0.5, math.nan),
+        ],
+    )
+    def test_bad_scan(self, scan):
+        with pytest.raises(DomainError, match="scan must be"):
+            vc.kms_residual(random_pairs(8), 1.0, scan=scan)
+
+    def test_non_finite_shift(self):
+        with pytest.raises(DomainError, match="not finite"):
+            vc.kms_twist_residual(random_pairs(8), 1.0, np.array([1.0, math.inf]))
+
+    def test_narrow_scan_keeps_the_period(self):
+        result = vc.kms_residual(random_pairs(16), 1.0, scan=(0.9, 1.1))
+        assert result.fitted_period == pytest.approx(2.0 * math.pi, rel=1e-9)
