@@ -13,7 +13,10 @@ frequency grid is integrated in one array call per refinement round.  The
 rotated and ray integrals are taken in ``w = log(y)``, where they are
 analytic and decay double-exponentially (Takahasi & Mori, Publ. RIMS 9,
 1974); the 21/10 pair and its error heuristic are those of QUADPACK's
-``qk21`` (Piessens et al., 1983).
+``qk21`` (Piessens et al., 1983).  ``lower_incomplete_gamma`` batches an
+array of ``s`` at one ``x`` the same way, so the closed static-atom and
+free-fall sweeps in ``12 < 2 omega z0 <= 30`` are one quadrature each;
+shared panels can move the last bits against single-point calls.
 
 Conventions
 -----------
@@ -254,35 +257,47 @@ def _lower_gamma_series(s: complex, x: complex, max_terms: int = 600) -> complex
     )
 
 
-def _lower_gamma_ray_quad(s: complex, x: complex, cfg: QuadratureConfig) -> complex:
+def _lower_gamma_ray_quad(ss: list[complex], x: complex, cfg: QuadratureConfig) -> list[complex]:
     # Substituting t = x e^{-q} in the ray integral gives
     # gamma(s, x) = x^s * int_0^inf exp(-q s - x e^{-q}) dq,
     # absolutely convergent for Re(s) > 0 with superexponential tails.
-    if s.real <= 0.0:
-        raise ConvergenceError(
-            "ray quadrature for the lower incomplete gamma needs Re(s) > 0; "
-            f"got s = {s!r}"
-        )
-    q_hi = -math.log(1e-18) / max(s.real, 0.05)
+    # Every s is one row of a single batched quadrature on shared panels,
+    # truncated where the slowest-decaying row falls below the cutoff.
+    for s in ss:
+        if s.real <= 0.0:
+            raise ConvergenceError(
+                "ray quadrature for the lower incomplete gamma needs Re(s) > 0; "
+                f"got s = {s!r}"
+            )
+    q_hi = -math.log(cfg.rotation_decay_cutoff) / max(min(s.real for s in ss), 0.05)
+    rows = np.array(ss).reshape(-1, 1)
 
     def integrand(q: np.ndarray) -> np.ndarray:
-        return np.exp(-q * s - x * np.exp(-q))
+        return np.exp(-q * rows - x * np.exp(-q))
 
-    value, _ = adaptive_finite_quad(integrand, 0.0, q_hi, cfg)
-    return cmath.exp(s * cmath.log(x)) * value
+    values, _ = adaptive_finite_quad(integrand, 0.0, q_hi, cfg)
+    log_x = cmath.log(x)
+    return [cmath.exp(s * log_x) * v for s, v in zip(ss, values.tolist())]
 
 
 def lower_incomplete_gamma(
-    s: complex,
+    s: complex | np.ndarray,
     x: complex,
     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG,
-) -> complex:
+) -> complex | np.ndarray:
     """Lower incomplete gamma function ``gamma(s, x)`` for complex arguments.
 
     For ``|x| <= LARGE_X_SWITCH`` this is the exact integral of
     ``t**(s-1) * exp(-t)`` along the ray from 0 to ``x`` (power series for
     small ``|x|``, rotated-ray quadrature beyond ``|x| ~ 12`` where the
     series loses digits to cancellation).
+
+    ``s`` may be a 1-D array at one ``x`` (a scalar ``s`` gives a plain
+    ``complex``).  The series, limit and continued-fraction branches treat
+    each entry exactly as a scalar call; the ray quadrature integrates the
+    array as one batch on shared panels, whose values can differ in the
+    last bits from single-entry calls.  The closed static-atom and
+    free-fall sweeps make one such call, with ``DEFAULT_QUAD_CONFIG``.
 
     For ``|x| > LARGE_X_SWITCH`` the exact ray integral is dominated by a
     unit-magnitude boundary oscillation ``~ x**(s-1) exp(-x)`` that never
@@ -303,27 +318,36 @@ def lower_incomplete_gamma(
     Raises
     ------
     PoleError
-        If ``s`` is a non-positive real integer.
+        If ``s`` (any entry of it) is a non-positive real integer.
     ConvergenceError
         If no representation converges within budget (large arguments in
         the left sectors, where nothing in this package needs the value).
     """
-    s = _require_finite("s", s)
+    if np.ndim(s) > 1:
+        raise DomainError("s must be a scalar or a 1-D array")
+    ss = [_require_finite("s", si) for si in np.ravel(s)]
     x = _require_finite("x", x)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"gamma(s, x) undefined at non-positive integer s = {s.real:g}")
+    for si in ss:
+        if _is_nonpositive_integer(si):
+            raise PoleError(f"gamma(s, x) undefined at non-positive integer s = {si.real:g}")
+    values = _lower_gamma(ss, x, cfg) if ss else []
+    return values[0] if np.ndim(s) == 0 else np.array(values, dtype=complex)
+
+
+def _lower_gamma(ss: list[complex], x: complex, cfg: QuadratureConfig) -> list[complex]:
+    # lower_incomplete_gamma's branches over validated entries at one x
     if x == 0:
-        return 0.0 + 0.0j
+        return [0.0 + 0.0j for _ in ss]
     r = abs(x)
     if r <= _SERIES_SWITCH:
-        return _lower_gamma_series(s, x)
+        return [_lower_gamma_series(s, x) for s in ss]
     if r <= LARGE_X_SWITCH:
-        return _lower_gamma_ray_quad(s, x, cfg)
+        return _lower_gamma_ray_quad(ss, x, cfg)
     if abs(x.imag) >= abs(x.real):
         # regularized limit: oscillatory boundary term dropped
-        return gamma_complex(s)
+        return [gamma_complex(s) for s in ss]
     if x.real > 0.0:
-        return gamma_complex(s) - upper_incomplete_gamma(s, x)
+        return [gamma_complex(s) - upper_incomplete_gamma(s, x) for s in ss]
     raise ConvergenceError(
         "lower_incomplete_gamma has no convergent representation for large "
         f"arguments near the negative real axis (x = {x!r})"

@@ -137,6 +137,14 @@ def planck_factor(x: float) -> float:
     return math.exp(-x) / (-math.expm1(-x))
 
 
+def _modulus_sq(amp: complex) -> float:
+    """``|amp|**2``, or inf where it overflows (a float power raises there)."""
+    try:
+        return abs(amp) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _probability_error(amp: complex, amp_error: float) -> float:
     """Bound on the error of ``|amp|**2`` from a bound on that of ``amp``."""
     return amp_error * (2.0 * abs(amp) + amp_error)
@@ -218,13 +226,15 @@ def static_atom_rindler_probability(
 
 
 def _static_atom_closed(params: DimensionlessParams, nus: list[float]):
-    # amplitude = (g/omega) e^{-pi nu ell/2} gamma(1 + i nu ell, -i X)
+    # amplitude = (g/omega) e^{-pi nu ell/2} gamma(1 + i nu ell, -i X), with
+    # one incomplete-gamma call per sweep because X is fixed across it
     scale, x_upper = _static_atom_scales(params)
+    gammas = numerics.lower_incomplete_gamma(
+        np.array([complex(1.0, nu_ell) for nu_ell in nus]), complex(0.0, -x_upper)
+    )
     amps = [
-        scale
-        * math.exp(-math.pi * nu_ell / 2.0)
-        * numerics.lower_incomplete_gamma(complex(1.0, nu_ell), complex(0.0, -x_upper))
-        for nu_ell in nus
+        scale * math.exp(-math.pi * nu_ell / 2.0) * gamma
+        for nu_ell, gamma in zip(nus, gammas.tolist())
     ]
     return [abs(amp) ** 2 for amp in amps], amps
 
@@ -495,23 +505,28 @@ def _records(
     routes = _SCENARIOS[scenario]
     if not all(f > 0 for f in freqs):
         raise DomainError(f"{scenario.value} frequencies must be positive")
-    if method is Method.CLOSED_FORM:
-        probs, amps = routes.closed(params, freqs)
-        return [SpectrumRecord(f, p, a, "closed", 0.0) for f, p, a in zip(freqs, probs, amps)]
-    if routes.quad is None:
+    if method is not Method.CLOSED_FORM and routes.quad is None:
         raise DomainError(f"{scenario.value} is closed-form only; it has no {method.value!r} route")
     grid = np.asarray(freqs)
     if method is Method.QUADRATURE:
         amps, amp_errors = routes.quad(params, grid, cfg)
-        return [
-            SpectrumRecord(f, abs(a) ** 2, a, "quad", _probability_error(a, e))
-            for f, a, e in zip(freqs, amps.tolist(), amp_errors.tolist())
+        amps = amps.tolist()
+        probs = [_modulus_sq(a) for a in amps]
+        errors = [_probability_error(a, e) for a, e in zip(amps, amp_errors.tolist())]
+    else:
+        probs, amps = routes.closed(params, freqs)
+        errors = [0.0] * len(freqs)
+    for f, p in zip(freqs, probs):
+        if math.isinf(p):
+            raise DomainError(f"{scenario.value} probability overflows to inf at frequency {f!r}")
+    if method is Method.BOTH:
+        independent, _ = (routes.cross or routes.quad)(params, grid, cfg)
+        errors = [
+            abs(abs(q) ** 2 - p) / max(p, 1e-300) for p, q in zip(probs, independent.tolist())
         ]
-    probs, amps = routes.closed(params, freqs)
-    independent, _ = (routes.cross or routes.quad)(params, grid, cfg)
     return [
-        SpectrumRecord(f, p, a, "both", abs(abs(q) ** 2 - p) / max(p, 1e-300))
-        for f, p, a, q in zip(freqs, probs, amps, independent.tolist())
+        SpectrumRecord(f, p, a, method.value, e)
+        for f, p, a, e in zip(freqs, probs, amps, errors)
     ]
 
 
@@ -531,7 +546,11 @@ def spectrum_sweep(
     Grids with fewer than 4 points skip the fit.
 
     Quadrature routes integrate the whole grid as one batch, so their
-    values can differ in the last bits from single-point calls.
+    values can differ in the last bits from single-point calls.  So can
+    the closed static-atom and free-fall values for
+    ``12 < 2 omega z0 <= 30``, where the incomplete gamma is itself one
+    batched quadrature over the grid.  Sweeps always run with
+    ``DEFAULT_QUAD_CONFIG``: no ``QuadratureConfig`` can be passed in.
     ``max_workers`` is accepted for compatibility and ignored: the batch
     leaves no per-point work to split between threads.
     """

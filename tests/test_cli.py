@@ -133,6 +133,19 @@ class TestSpectrumCommand:
             )
             assert result.exit_code == cli.EXIT_DOMAIN_ERROR, v0
 
+    @pytest.mark.parametrize(
+        "scenario, method",
+        [("accel-atom", "closed"), ("accel-atom-mirror", "closed"), ("accel-atom", "quad")],
+    )
+    def test_small_frequency_overflow_exits_3(self, runner, scenario, method):
+        result = invoke(
+            runner, "spectrum", "--scenario", scenario, "--method", method,
+            "--grid", "1e-300:1e-299:4",
+        )
+        assert result.exit_code == cli.EXIT_DOMAIN_ERROR
+        message = f"error: {scenario} probability overflows to inf at frequency 1e-300"
+        assert message in result.output
+
     def test_quadrature_budget_exhaustion_is_numeric_error(self, runner):
         # the finite ray X = 2e4 needs far more than the panel budget
         result = invoke(

@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rindler_lab import numerics as nm
@@ -165,6 +165,14 @@ class TestLowerIncompleteGamma:
         total = nm.gamma_complex(s)
         assert abs(lower + upper - total) / abs(total) < 1e-10
 
+    def test_ray_branch_truncates_at_the_config_cutoff(self):
+        # the q-integrand has modulus e^{-q} on x = -iX, so truncating at
+        # e^{-q} = c drops a tail of modulus c/|s| (times |x^s|)
+        s, x, c = 1 + 2j, -20j, 1e-6
+        coarse = nm.lower_incomplete_gamma(s, x, nm.QuadratureConfig(rotation_decay_cutoff=c))
+        dropped = abs(nm.lower_incomplete_gamma(s, x) - coarse) / abs(cmath.exp(s * cmath.log(x)))
+        assert dropped == pytest.approx(c / abs(s), rel=0.01)
+
     def test_zero_argument(self):
         assert nm.lower_incomplete_gamma(1 + 1j, 0.0) == 0.0
 
@@ -180,6 +188,67 @@ class TestLowerIncompleteGamma:
         a = nm.lower_incomplete_gamma(1 + 0.7j, -19j)
         b = nm.lower_incomplete_gamma(1 + 0.7j, -19j)
         assert a == b
+
+
+class TestLowerIncompleteGammaArray:
+    # x on both imaginary half-axes (the detector family) and the positive
+    # real axis, |x| drawn across the switches at 12 and 30
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.floats(0.5, 2.0),
+                st.floats(0.05, 20.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        x_abs=st.floats(0.5, 40.0),
+        theta=st.sampled_from([-math.pi / 2, math.pi / 2, 0.0]),
+    )
+    # rows that decay at different rates share the longest q range
+    @example(entries=[(0.5, 3.0), (2.0, 1.0)], x_abs=20.0, theta=-math.pi / 2)
+    def test_array_matches_scalar_calls_and_mpmath(self, entries, x_abs, theta):
+        ray_band = nm._SERIES_SWITCH < x_abs <= nm.LARGE_X_SWITCH
+        # on the real axis the ray integrand cancels for large nu: a single
+        # call is already 1.2e-9 from mpmath at s = 1 + 12i, x = 15
+        assume(not (ray_band and theta == 0.0))
+        x = cmath.rect(x_abs, theta)
+        s = np.array([complex(re, nu) for re, nu in entries])
+        batch = nm.lower_incomplete_gamma(s, x)
+        assert batch.dtype == complex and batch.shape == s.shape
+        for s_k, got in zip(s.tolist(), batch.tolist()):
+            single = nm.lower_incomplete_gamma(s_k, x)
+            assert type(single) is complex
+            if ray_band:
+                # two quadratures to rel_tol = 1e-10 on different panels: they
+                # have been seen 7.8e-11 apart, and a single call 2.3e-10 from
+                # mpmath, where the ray integrand cancels (nu > |x|)
+                assert relerr(got, single) < 1e-9
+                assert relerr(got, complex(mp.gammainc(mp.mpc(s_k), 0, mp.mpc(x)))) < 1e-9
+            else:
+                assert got == single
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bad=st.sampled_from([0.0, -2.0, complex(math.nan, 1.0), complex(1.0, math.inf)]),
+        at=st.integers(0, 3),
+        x_abs=st.floats(0.5, 40.0),
+    )
+    def test_bad_entry_raises_as_a_scalar_call(self, bad, at, x_abs):
+        x = complex(0.0, -x_abs)
+        s = [1 + 0.5j, 1 + 1j, 1 + 2j]
+        s.insert(at, bad)
+        with pytest.raises((PoleError, DomainError)) as scalar:
+            nm.lower_incomplete_gamma(bad, x)
+        with pytest.raises(type(scalar.value)) as batch:
+            nm.lower_incomplete_gamma(np.array(s), x)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_shapes(self):
+        assert nm.lower_incomplete_gamma(np.array([], dtype=complex), -20j).shape == (0,)
+        with pytest.raises(DomainError):
+            nm.lower_incomplete_gamma(np.ones((2, 2), dtype=complex), -20j)
 
 
 class TestUpperIncompleteGamma:

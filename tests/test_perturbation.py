@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rindler_lab import numerics
 from rindler_lab import perturbation as pt
 from rindler_lab.errors import DomainError
 from rindler_lab.spacetime import DimensionlessParams
@@ -320,6 +322,44 @@ class TestSpectrumSweep:
                 pt.spectrum_sweep(spec, grid)
             return
         assert [r.method for r in pt.spectrum_sweep(spec, grid).records] == [method.value] * 3
+
+    @pytest.mark.parametrize(
+        "scenario, p",
+        [
+            (pt.Scenario.STATIC_ATOM_RINDLER_VAC, params(omega_atom=1.0, z0=10.0)),  # X = 20
+            (pt.Scenario.FREEFALL_BH, params(omega_atom=40.0, rg=1.0, v0=0.2)),  # X = 16
+        ],
+    )
+    def test_ray_band_closed_sweep_is_one_quadrature(self, monkeypatch, scenario, p):
+        calls = []
+        quad = numerics.adaptive_finite_quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "adaptive_finite_quad", counted)
+        grid = np.geomspace(0.1, 3.0, 30)
+        records = pt.spectrum_sweep(pt.ScenarioSpec(scenario, p), grid).records
+        assert len(records) == 30 and len(calls) == 1
+
+    def test_ray_band_sweep_reaches_nu_40(self):
+        # 2 omega z0 = 29.99, the top of the ray band; the shared panels stay
+        # within the default budget, and each point matches a 1-point sweep
+        p = params(omega_atom=1.0, z0=14.995)
+        spec = pt.ScenarioSpec(pt.Scenario.STATIC_ATOM_RINDLER_VAC, p)
+        grid = np.geomspace(0.1, 40.0, 30)
+        records = pt.spectrum_sweep(spec, grid).records
+        for nu, rec in zip(grid, records):
+            single = pt.static_atom_rindler_probability(replace(p, nu_field=nu))
+            assert rec.probability == pytest.approx(single.probability, rel=1e-9)
+
+    @pytest.mark.parametrize("scenario", [pt.Scenario.ACCEL_ATOM, pt.Scenario.ACCEL_ATOM_MIRROR])
+    def test_small_frequency_overflow_is_named(self, scenario):
+        spec = pt.ScenarioSpec(scenario, params())
+        message = f"{scenario.value} probability overflows to inf at frequency 1e-300"
+        with pytest.raises(DomainError, match=message):
+            pt.spectrum_sweep(spec, [1e-300, 1e-299])
 
     def test_coupling_scaling_across_sweep(self):
         grid = np.geomspace(0.3, 2.0, 6)
