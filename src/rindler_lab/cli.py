@@ -597,7 +597,11 @@ def bogoliubov(grid_token, output_path, output_format):
 @click.option("--pairs", "n_pairs", type=int, default=64)
 @click.option("--seed", type=int, default=_KMS_SEED)
 def kms_check(ell, n_pairs, seed):
-    """Scan the imaginary period of the twisted correlator."""
+    """Scan the imaginary period of the twisted correlator.
+
+    Exits 1 unless the residual at 2 pi ell is below 1e-10 and the extracted
+    temperature is within 1e-9 of 1/(2 pi ell), relative.
+    """
     try:
         result = vacua.kms_residual(_kms_sample_pairs(n_pairs, seed), ell)
     except DomainError as exc:
@@ -606,7 +610,7 @@ def kms_check(ell, n_pairs, seed):
     click.echo(f"max residual at shift 2 pi ell: {result.max_residual:.3e}")
     click.echo(f"fitted period: {result.fitted_period:.12g} (2 pi ell = {2*math.pi*ell:.12g})")
     click.echo(f"extracted temperature: {result.t_extracted:.12g} (expected {expected_t:.12g})")
-    if result.max_residual > 1e-10 or abs(result.t_extracted / expected_t - 1.0) > 1e-3:
+    if result.max_residual > 1e-10 or abs(result.t_extracted / expected_t - 1.0) > 1e-9:
         raise SystemExit(EXIT_CHECK_FAILURE)
 
 

@@ -363,12 +363,6 @@ class SurfaceSampling:
         return s, u, v, w, orientation
 
 
-def _sampled_values(spec: ModeSpec, sampling: SurfaceSampling):
-    s, u, v, w, orientation = sampling.grid()
-    vals = eval_mode(spec, u, v)
-    return s, vals, w, orientation
-
-
 def kg_inner(
     f: ModeSpec,
     g: ModeSpec,
@@ -397,13 +391,18 @@ def kg_inner(
     SupportError
         If the integrand vanishes identically (disjoint supports).
     """
-    s, fv, w, orientation = _sampled_values(f, sampling)
-    _, gv, _, _ = _sampled_values(g, sampling)
+    s, u, v, w, orientation = sampling.grid()
+    fv, gv = eval_mode(f, u, v), eval_mode(g, u, v)
     if conjugate_f:
         fv = np.conj(fv)
     if conjugate_g:
         gv = np.conj(gv)
-    integrand = (fv * np.gradient(np.conj(gv), s) - np.conj(gv) * np.gradient(fv, s)) * w
+    # in place and with one conjugate: each full-size temporary is a fresh
+    # heap block, and their page faults cost more than the arithmetic
+    g_conj = np.conj(gv)
+    integrand = fv * np.gradient(g_conj, s)
+    integrand -= g_conj * np.gradient(fv, s)
+    integrand *= w
     peak = float(np.max(np.abs(integrand)))
     if peak == 0.0:
         raise SupportError("integrand vanishes identically: mode supports do not meet the surface")

@@ -25,11 +25,16 @@ readout ``1/(2 pi ell)`` is the acceleration temperature.  The two-point
 function used here is the massless 1+1 logarithmic form
 ``G = -(1/4 pi) log(-ds2 + i eps)``, a function of the invariant interval
 alone; the periodicity argument is insensitive to that choice of form.
+The interval is ``ell^2 [4ab sinh^2((tbar - tbar')/(2 ell)) - (a - b)^2]``
+(see :func:`rindler_interval`), free of cancelling large terms; only its
+``sinh`` depends on an imaginary time shift, so the period scan computes
+per-pair and per-shift factors and combines them as an outer product.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -56,7 +61,8 @@ __all__ = [
 
 _CONVENTIONS = ("standard", "symmetric")
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_NOT_FINITE = "KMS interval is not finite: ell is out of range for the sample events"
+_COINCIDENT = "two-point function diverges at the coincidence limit"
 
 
 @dataclass(frozen=True)
@@ -187,93 +193,80 @@ def two_point_minkowski_invariant(ds2: complex, epsilon_t: float = 0.0) -> compl
     """
     ds2 = complex(ds2)
     if ds2 == 0:
-        raise DomainError("two-point function diverges at the coincidence limit")
+        raise DomainError(_COINCIDENT)
     return -cmath.log(-ds2 + 1j * epsilon_t) / (4.0 * math.pi)
 
 
 def rindler_interval(x: EventRindler, xp: EventRindler, ell: float) -> complex:
     """Invariant interval between accelerated-chart events, complex time allowed.
 
-    ``ds2 = ell^2 [ (e^{zbar/ell} sinh(tbar/ell) - e^{zbar'/ell} sinh(tbar'/ell))^2
-    - (e^{zbar/ell} cosh(tbar/ell) - e^{zbar'/ell} cosh(tbar'/ell))^2 ]``
-    evaluated with complex-analytic hyperbolic functions, so it is exactly
-    periodic in each time argument under shifts by ``2 pi i ell``.
+    ``ds2 = ell^2 [4ab sinh^2((tbar - tbar')/(2 ell)) - (a - b)^2]`` with
+    ``a = e^{zbar/ell}``, ``b = e^{zbar'/ell}`` and ``a - b = b expm1((zbar -
+    zbar')/ell)``.  It is the difference of squares of the Minkowski
+    separations, ``(a sinh - b sinh')^2 - (a cosh - b cosh')^2`` times
+    ``ell^2``, with the ``e^{2|zbar|/ell}``-sized terms cancelled
+    analytically, so it keeps full relative precision at small ``ell``.
+    It is exactly periodic in each time argument under shifts by ``2 pi i ell``.
     """
     if ell <= 0:
         raise DomainError("ell must be positive")
-    a = math.exp(x.zbar / ell)
-    b = math.exp(xp.zbar / ell)
-    ta = complex(x.tbar) / ell
-    tb = complex(xp.tbar) / ell
-    d_sinh = a * cmath.sinh(ta) - b * cmath.sinh(tb)
-    d_cosh = a * cmath.cosh(ta) - b * cmath.cosh(tb)
-    return ell * ell * (d_sinh * d_sinh - d_cosh * d_cosh)
+    ab = math.exp((x.zbar + xp.zbar) / ell)
+    a_minus_b = math.exp(xp.zbar / ell) * math.expm1((x.zbar - xp.zbar) / ell)
+    half = cmath.sinh((complex(x.tbar) - complex(xp.tbar)) / (2.0 * ell))
+    return ell * ell * (4.0 * ab * (half * half) - a_minus_b * a_minus_b)
 
 
-_NOT_FINITE = "KMS interval is not finite: ell is out of range for the sample events"
-
-
-def _event_parts(events: Sequence[EventRindler], ell: float) -> tuple[np.ndarray, ...]:
-    """Per event: ``e^{zbar/ell}``, ``sinh`` and ``cosh`` of ``Re(tbar)/ell``, ``Im(tbar)``.
-
-    exp, sinh and cosh come from libm, as in :func:`rindler_interval`;
-    numpy's vectorized ones can differ in the last bit.
-    """
-    tbar = [complex(e.tbar) for e in events]
-    try:
-        return (
-            np.array([math.exp(e.zbar / ell) for e in events]),
-            np.array([math.sinh(t.real / ell) for t in tbar]),
-            np.array([math.cosh(t.real / ell) for t in tbar]),
-            np.array([t.imag for t in tbar]),
-        )
-    except OverflowError as exc:
-        raise DomainError(_NOT_FINITE) from exc
-
-
-def _scaled_hyperbolics(
-    parts: tuple[np.ndarray, ...], ell: float, shift: float | np.ndarray = 0.0
+def _interval_parts(
+    pairs: Sequence[tuple[EventRindler, EventRindler]], ell: float
 ) -> tuple[np.ndarray, ...]:
-    """``e^{zbar/ell}`` times ``sinh`` and ``cosh`` of ``(tbar + i*shift)/ell``.
+    """Per pair, the pieces of :func:`rindler_interval` that no shift changes.
 
-    Returns the real and imaginary parts of each, formed as cmath forms
-    them; a shift array of shape ``(S, 1)`` gives ``(S, P)`` arrays for
-    ``P`` events.
+    With ``h = (tbar - tbar')/(2 ell) = X + iY``, returns ``S = 4 ell^2 ab``,
+    ``C = ell^2 (a - b)^2`` and ``sinh X cos Y``, ``sinh X sin Y``,
+    ``cosh X sin Y``, ``cosh X cos Y``.  Overflow gives ``inf`` or ``nan``
+    entries, which the callers report.
     """
-    scale, sinh_x, cosh_x, tbar_im = parts
-    y = (tbar_im + shift) / ell
-    cos_y, sin_y = np.cos(y), np.sin(y)
-    return (
-        scale * (cos_y * sinh_x),
-        scale * (sin_y * cosh_x),
-        scale * (cos_y * cosh_x),
-        scale * (sin_y * sinh_x),
-    )
+    events = np.array(
+        [(complex(p[0].tbar), p[0].zbar, complex(p[1].tbar), p[1].zbar) for p in pairs],
+        dtype=complex,
+    ).reshape(-1, 4)
+    half = (events[:, 0] - events[:, 2]) / (2.0 * ell)
+    zbar, zbar_p = events[:, 1].real, events[:, 3].real
+    with np.errstate(all="ignore"):
+        scale = 4.0 * ell * ell * np.exp((zbar + zbar_p) / ell)
+        a_minus_b = ell * np.exp(zbar_p / ell) * np.expm1((zbar - zbar_p) / ell)
+        sinh_x, cosh_x = np.sinh(half.real), np.cosh(half.real)
+        cos_y, sin_y = np.cos(half.imag), np.sin(half.imag)
+        return (
+            scale,
+            a_minus_b * a_minus_b,
+            sinh_x * cos_y,
+            sinh_x * sin_y,
+            cosh_x * sin_y,
+            cosh_x * cos_y,
+        )
 
 
-def _interval_array(
-    hyp_a: tuple[np.ndarray, ...], hyp_b: tuple[np.ndarray, ...], ell: float
-) -> np.ndarray:
-    """:func:`rindler_interval` from two events' scaled hyperbolics, checked.
+def _twisted_interval(
+    parts: tuple[np.ndarray, ...], sigma: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``S sinh^2(h + i sigma) - C``.
 
-    Squares in real arithmetic, in the order of Python's complex product,
-    because numpy's complex product may fuse a multiply and an add.
+    That is ``rindler_interval(x', x + 2i ell sigma)``, and at ``sigma = 0``
+    ``rindler_interval(x, x')``.  ``sinh(X + i(Y + sigma))`` comes from
+    ``cos sigma`` and ``sin sigma`` by the angle-addition formulas, so a
+    ``sigma`` of shape ``(S, 1)`` costs ``S`` cosines and sines and gives
+    ``(S, P)`` arrays for ``P`` pairs.
     """
-    s_re, s_im, c_re, c_im = (a - b for a, b in zip(hyp_a, hyp_b))
-    e2 = ell * ell
-    ds2 = e2 * ((s_re * s_re - s_im * s_im) - (c_re * c_re - c_im * c_im)) + 1j * (
-        e2 * ((s_re * s_im + s_im * s_re) - (c_re * c_im + c_im * c_re))
-    )
-    if not np.all(np.isfinite(ds2)):
-        raise DomainError(_NOT_FINITE)
-    if np.any(ds2 == 0):
-        raise DomainError("two-point function diverges at the coincidence limit")
-    return ds2
-
-
-def _g_array(ds2: np.ndarray, marker: np.ndarray) -> np.ndarray:
-    """:func:`two_point_minkowski_invariant` over an array of intervals."""
-    return -np.log(-ds2 + 1j * marker) / (4.0 * math.pi)
+    scale, offset, sc, ss, cs, cc = parts
+    with np.errstate(all="ignore"):
+        cos_s, sin_s = np.cos(sigma), np.sin(sigma)
+        sinh_re = sc * cos_s - ss * sin_s
+        sinh_im = cs * cos_s + cc * sin_s
+        return (
+            scale * (sinh_re * sinh_re - sinh_im * sinh_im) - offset,
+            2.0 * scale * (sinh_re * sinh_im),
+        )
 
 
 def _twist_residual_fn(
@@ -281,33 +274,50 @@ def _twist_residual_fn(
 ) -> Callable[[float | np.ndarray], float | np.ndarray]:
     """:func:`kms_twist_residual` of fixed pairs as a function of the shift.
 
-    The pairs become arrays once, and the direct interval, its time-order
-    marker and its ``G``, which do not depend on the shift, are computed
-    once; each call evaluates the twisted interval and its ``G`` over
-    shifts x pairs as one array operation and takes the maximum over pairs.
-    The intervals repeat :func:`rindler_interval`'s arithmetic step by step,
-    so they match it to the last bit wherever numpy's sin and cos match libm.
+    The pairs' :func:`_interval_parts`, the direct interval, its time-order
+    marker and its ``G`` are computed once; each call forms the twisted
+    intervals over shifts x pairs with :func:`_twisted_interval` and takes
+    ``G`` as ``-(log|w| + i atan2(Im w, Re w))/(4 pi)`` of
+    ``w = -ds2 + i*marker``, in real arithmetic.  Intervals are taken in
+    units of ``S cosh^2 X + C + marker``, a bound on ``|w|`` at every shift
+    (``|sinh(X + i theta)|^2 <= cosh^2 X``), so ``|w|^2`` cannot overflow.
     """
     if not (ell > 0.0 and math.isfinite(ell)):
         raise DomainError("ell must be positive and finite")
-    x_parts = _event_parts([p[0] for p in pairs], ell)
-    xp_parts = _event_parts([p[1] for p in pairs], ell)
-    # overflow becomes a non-finite interval, reported as a DomainError
+    parts = _interval_parts(pairs, ell)
+    ds_re, ds_im = _twisted_interval(parts, 0.0)
     with np.errstate(all="ignore"):
-        xp_hyp = _scaled_hyperbolics(xp_parts, ell)
-        ds_direct = _interval_array(_scaled_hyperbolics(x_parts, ell), xp_hyp, ell)
-        # a consistent time-order marker keeps timelike intervals on one
-        # side of the log cut; roundoff in the twisted interval would
-        # otherwise pick the branch at random
-        marker = 1e-12 * np.maximum(1.0, np.abs(ds_direct))
-        g_direct = _g_array(ds_direct, marker)
+        ds_abs = np.hypot(ds_re, ds_im)
+    if not np.all(np.isfinite(ds_abs)):
+        raise DomainError(_NOT_FINITE)
+    if np.any(ds_abs == 0):
+        raise DomainError(_COINCIDENT)
+    # a consistent time-order marker keeps timelike intervals on one side
+    # of the log cut; roundoff in the twisted interval would otherwise
+    # pick the branch at random
+    marker = 1e-12 * np.maximum(1.0, ds_abs)
+    scale, offset, sc, ss, cs, cc = parts
+    with np.errstate(all="ignore"):
+        unit = scale * (cc * cc + cs * cs) + offset + marker
+        parts = (scale / unit, offset / unit, sc, ss, cs, cc)
+        w_re, w_im = -ds_re / unit, (marker - ds_im) / unit
+        log_direct = 0.5 * np.log(w_re * w_re + w_im * w_im)
+        arg_direct = np.arctan2(w_im, w_re)
+        marker = marker / unit
 
     def residual(shift: float | np.ndarray) -> float | np.ndarray:
-        shift = np.asarray(shift, dtype=float)[..., None]
+        sigma = np.asarray(shift, dtype=float)[..., None] / (2.0 * ell)
+        tw_re, tw_im = _twisted_interval(parts, sigma)
         with np.errstate(all="ignore"):
-            x_shifted = _scaled_hyperbolics(x_parts, ell, shift)
-            g_twisted = _g_array(_interval_array(xp_hyp, x_shifted, ell), marker)
-        worst = np.max(np.abs(g_direct - g_twisted), axis=-1, initial=0.0)
+            w_im = marker - tw_im
+            d_log = log_direct - 0.5 * np.log(tw_re * tw_re + w_im * w_im)
+            d_arg = arg_direct - np.arctan2(w_im, -tw_re)
+            worst = np.max(d_log * d_log + d_arg * d_arg, axis=-1, initial=0.0)
+        if not np.all(np.isfinite(worst)):
+            raise DomainError(_NOT_FINITE)
+        if np.any((tw_re == 0) & (tw_im == 0)):
+            raise DomainError(_COINCIDENT)
+        worst = np.sqrt(worst) / (4.0 * math.pi)
         return float(worst) if worst.ndim == 0 else worst
 
     return residual
@@ -346,8 +356,9 @@ def kms_residual(
     twisted value ``G(x'; x + i*shift)`` (arguments swapped, first time
     complex-shifted).  ``max_residual`` is the worst absolute difference
     at the exact shift ``2 pi ell``; ``fitted_period`` minimizes the worst
-    difference over ``scan`` times ``2 pi ell``; ``t_extracted`` is the
-    inverse fitted period, to be compared with ``1/(2 pi ell)``.
+    difference over ``scan`` times ``2 pi ell``, by grids refined until the
+    bracket is ``1e-10`` of the period; ``t_extracted`` is the inverse
+    fitted period, to be compared with ``1/(2 pi ell)``.
 
     Requires a finite ``ell > 0``, a scan domain ``(lo, hi)`` with finite
     ``0 < lo < hi``, at least 8 non-coincident pairs, and intervals that
@@ -363,39 +374,20 @@ def kms_residual(
     period = 2.0 * math.pi * ell
     max_residual = twist(period)
     # the residual is a needle: flat near 0.5 almost everywhere and dropping
-    # to roundoff only within a sliver of the true period, so a bounded
-    # minimizer alone walks off; bracket with two grid refinements first
+    # to roundoff only within a sliver of the true period, so a local
+    # minimizer alone walks off; two 241-point grids bracket the needle,
+    # then 33-point grids narrow the bracket to 1e-10 of the period
     left, right = lo * period, hi * period
-    for _ in range(2):
-        shifts = left + np.arange(241) * (right - left) / 240.0
+    fitted_residual, fitted_period = math.inf, left
+    for points in itertools.chain((241, 241), itertools.repeat(33)):
+        shifts = left + np.arange(points) * (right - left) / (points - 1)
         values = twist(shifts)
-        k_min = int(np.argmin(values))
-        left = float(shifts[max(0, k_min - 1)])
-        right = float(shifts[min(len(shifts) - 1, k_min + 1)])
-    fitted_period, fitted_residual = _golden_section_min(twist, left, right, 1e-10 * period)
-    if fitted_residual > values[k_min]:
-        fitted_period = float(shifts[k_min])
+        k = int(np.argmin(values))
+        fitted_residual, fitted_period = min(
+            (fitted_residual, fitted_period), (float(values[k]), float(shifts[k]))
+        )
+        left = float(shifts[max(0, k - 1)])
+        right = float(shifts[min(points - 1, k + 1)])
+        if right - left <= 1e-10 * period:
+            break
     return KmsScanResult(max_residual, fitted_period, 1.0 / fitted_period)
-
-
-def _golden_section_min(
-    f: Callable[[float], float], left: float, right: float, xatol: float
-) -> tuple[float, float]:
-    """Golden-section search for the minimum of ``f`` on ``[left, right]``.
-
-    Shrinks the bracket by the golden ratio per evaluation until it is
-    narrower than ``xatol``; returns the best point evaluated and its value.
-    """
-    x1 = right - _INV_GOLDEN * (right - left)
-    x2 = left + _INV_GOLDEN * (right - left)
-    f1, f2 = f(x1), f(x2)
-    while right - left > xatol:
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - _INV_GOLDEN * (right - left)
-            f1 = f(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + _INV_GOLDEN * (right - left)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)

@@ -263,6 +263,19 @@ class TestKmsCheckCommand:
         assert "error: " in result.output and message in result.output
         assert "fitted period" not in result.output
 
+    @pytest.mark.parametrize("ell", ["0.05", "0.1"])
+    def test_small_ell_fits_the_exact_period(self, runner, ell):
+        result = invoke(runner, "kms-check", "--ell", ell)
+        assert result.exit_code == 0
+        period = f"{2 * math.pi * float(ell):.12g}"
+        assert f"fitted period: {period} (2 pi ell = {period})" in result.output
+
+    def test_large_ell_misfit_fails_the_temperature_gate(self, runner):
+        # the scan brackets the wrong point at ell = 1000 (period 6e-5 off)
+        result = invoke(runner, "kms-check", "--ell", "1000")
+        assert result.exit_code == cli.EXIT_CHECK_FAILURE
+        assert "extracted temperature" in result.output
+
     def test_too_few_pairs_exits_3(self, runner):
         result = invoke(runner, "kms-check", "--pairs", "4")
         assert result.exit_code == cli.EXIT_DOMAIN_ERROR

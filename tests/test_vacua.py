@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rindler_lab import vacua as vc
 from rindler_lab.errors import DomainError
-from rindler_lab.modes import NullULine, SurfaceSampling
+from rindler_lab.modes import ModeKind, ModeSpec, NullULine, SurfaceSampling, eval_mode
 from rindler_lab.spacetime import EventRindler
 
 # 1/(e^pi - 1) and 1/(e^{2 pi} - 1), mpmath 40 digits
@@ -106,6 +107,40 @@ class TestNumericOverlaps:
         inverse = kg_inner(g, f, sampling, conjugate_g=True)
         assert abs(inverse + beta.conjugate()) < 1e-10 * abs(beta)
 
+    def test_kg_inner_samples_the_surface_once(self, monkeypatch):
+        calls = []
+        grid = SurfaceSampling.grid
+
+        def counted(self):
+            calls.append(self)
+            return grid(self)
+
+        monkeypatch.setattr(SurfaceSampling, "grid", counted)
+        vc.alpha_numeric(1.0, 1.0)
+        vc.beta_numeric(1.0, 1.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("om, om_bar", [(1.0, 1.0), (0.5, 2.0), (1.7, 0.8)])
+    def test_overlaps_match_per_mode_sampling(self, om, om_bar):
+        # the product from one grid per mode, as kg_inner once sampled it,
+        # must be reproduced bit for bit
+        def two_grid_product(f, g, sampling, conjugate_g=False):
+            s, u, v, w, orientation = sampling.grid()
+            fv = eval_mode(f, u, v)
+            _, u, v, _, _ = sampling.grid()
+            gv = eval_mode(g, u, v)
+            if conjugate_g:
+                gv = np.conj(gv)
+            integrand = (fv * np.gradient(np.conj(gv), s) - np.conj(gv) * np.gradient(fv, s)) * w
+            return complex(-0.5j * orientation * np.trapezoid(integrand, s))
+
+        neg, pos = vc._default_sampling()
+        f = ModeSpec(ModeKind.UNRUH_MINKOWSKI, om)
+        right = ModeSpec(ModeKind.RINDLER_WEDGE, om_bar, wedge="right", direction=+1)
+        left = ModeSpec(ModeKind.RINDLER_WEDGE, om_bar, wedge="left", direction=+1)
+        assert vc.alpha_numeric(om, om_bar) == two_grid_product(f, right, neg)
+        assert vc.beta_numeric(om, om_bar) == two_grid_product(f, left, pos, conjugate_g=True)
+
     def test_window_requirement(self):
         small = SurfaceSampling(NullULine(side=+1), samples=1024, window=1.0)
         with pytest.raises(DomainError):
@@ -166,6 +201,73 @@ class TestRindlerInterval:
         assert vc.rindler_interval(x, xp, ell).real == pytest.approx(want, rel=1e-12)
 
 
+_coord = st.floats(-2.0, 2.0)
+_event = st.builds(EventRindler, _coord, _coord)
+
+
+def mp_interval(x, xp, ell):
+    """``rindler_interval`` at 120 digits from the difference of squares of
+    the Minkowski separations, and the size ``ell^2 (4ab cosh^2 X + (a - b)^2)``
+    of its two terms (``X`` the real part of ``(tbar - tbar')/(2 ell)``)."""
+    with mp.workdps(120):
+        ell = mp.mpf(ell)
+        a, b = mp.exp(mp.mpf(x.zbar) / ell), mp.exp(mp.mpf(xp.zbar) / ell)
+        ta = mp.mpc(complex(x.tbar)) / ell
+        tb = mp.mpc(complex(xp.tbar)) / ell
+        d_sinh = a * mp.sinh(ta) - b * mp.sinh(tb)
+        d_cosh = a * mp.cosh(ta) - b * mp.cosh(tb)
+        ds2 = ell**2 * (d_sinh**2 - d_cosh**2)
+        size = ell**2 * (4 * a * b * mp.cosh(mp.re(ta - tb) / 2) ** 2 + (a - b) ** 2)
+        return complex(ds2), float(size)
+
+
+_ell = st.floats(0.05, 2.0)
+
+
+class TestIntervalAccuracy:
+    """``ds2 = ell^2 [4ab sinh^2((tbar - tbar')/(2 ell)) - (a - b)^2]`` against mpmath.
+
+    Errors are measured against the size of the two terms, which is
+    ``|ds2|`` away from the light cone; on it the interval vanishes and
+    only this scale is meaningful.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_event, xp=_event, ell=_ell)
+    def test_relative_to_mpmath(self, x, xp, ell):
+        want, size = mp_interval(x, xp, ell)
+        assert abs(vc.rindler_interval(x, xp, ell) - want) <= 1e-13 * size
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 1.0])
+    def test_kms_check_pairs_to_full_precision(self, ell):
+        # kms-check's default pairs; the difference-of-squares form lost
+        # every digit on them at ell <= 0.1
+        for x, xp in random_pairs(64):
+            want, _ = mp_interval(x, xp, ell)
+            assert abs(vc.rindler_interval(x, xp, ell) - want) <= 1e-13 * abs(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_event, _event), min_size=1, max_size=8),
+        ell=_ell,
+        periods=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+    )
+    def test_array_path_matches_scalar(self, pairs, ell, periods):
+        shifts = 2.0 * math.pi * ell * np.array(periods)
+        parts = vc._interval_parts(pairs, ell)
+        direct = vc._twisted_interval(parts, 0.0)
+        twisted = vc._twisted_interval(parts, shifts[:, None] / (2.0 * ell))
+        for p, (x, xp) in enumerate(pairs):
+            _, size = mp_interval(x, xp, ell)
+            got = complex(direct[0][p], direct[1][p])
+            assert abs(got - vc.rindler_interval(x, xp, ell)) <= 1e-13 * size
+            for k, shift in enumerate(shifts):
+                got = complex(twisted[0][k, p], twisted[1][k, p])
+                x_shifted = EventRindler(complex(x.tbar) + 1j * float(shift), x.zbar)
+                want = vc.rindler_interval(xp, x_shifted, ell)
+                assert abs(got - want) <= 1e-13 * size
+
+
 class TestKmsResidual:
     def test_exact_shift_has_tiny_residual(self):
         result = vc.kms_residual(random_pairs(64), ell=1.0)
@@ -214,10 +316,6 @@ def per_shift_reference(pairs, ell, shift):
         g_twisted = vc.two_point_minkowski_invariant(ds_twisted, marker)
         worst = max(worst, abs(g_direct - g_twisted))
     return worst
-
-
-_coord = st.floats(-2.0, 2.0)
-_event = st.builds(EventRindler, _coord, _coord)
 
 
 class TestTwistResidualArray:
@@ -271,8 +369,8 @@ class TestKmsDomainEdges:
 
     @pytest.mark.parametrize("ell", [1e-300, 1e-3, 0.005, 1e200])
     def test_overflowing_intervals_fail_without_warnings(self, ell):
-        # 1e-300 and 1e-3 overflow exp or sinh per event, 0.005 the array
-        # products, and 1e200 overflows ell**2 (it used to halve the period)
+        # 1e-300, 1e-3 and 0.005 overflow e^{(zbar + zbar')/ell} or the
+        # squared sinh, and 1e200 overflows ell**2 (it used to halve the period)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
@@ -297,6 +395,23 @@ class TestKmsDomainEdges:
     def test_non_finite_shift(self):
         with pytest.raises(DomainError, match="not finite"):
             vc.kms_twist_residual(random_pairs(8), 1.0, np.array([1.0, math.inf]))
+
+    def test_scan_factors_shifts_from_pairs(self, monkeypatch):
+        # cos and sin run once per pair and once per shift; an outer
+        # product of them would take 2 x 241 x 64 = 30,848 elements for
+        # the bracketing grids alone
+        sizes = {"cos": 0, "sin": 0}
+        for name in sizes:
+            ufunc = getattr(np, name)
+
+            def counted(arg, *args, name=name, ufunc=ufunc, **kwargs):
+                sizes[name] += np.size(arg)
+                return ufunc(arg, *args, **kwargs)
+
+            monkeypatch.setattr(vc.np, name, counted)
+        result = vc.kms_residual(random_pairs(64), 1.0)
+        assert result.max_residual < 1e-10
+        assert 0 < sizes["cos"] <= 1000 and 0 < sizes["sin"] <= 1000
 
     def test_narrow_scan_keeps_the_period(self):
         result = vc.kms_residual(random_pairs(16), 1.0, scan=(0.9, 1.1))
