@@ -31,8 +31,9 @@ fam2 = md.eval_mode(md.ModeSpec(md.ModeKind.MIRROR_FAMILY_2, 1.0), u, -1.0 / u)
 print(f"  accelerated mirror (uv = -1): max |phi| on surface = {np.max(np.abs(fam2)):.1e}")
 
 print("\n=== 3. Klein-Gordon norms (box sampling on a null line) ===")
-neg_line = md.SurfaceSampling(md.NullULine(side=-1), samples=8192, window=8 * math.pi)
-pos_line = md.SurfaceSampling(md.NullULine(side=+1), samples=8192, window=8 * math.pi)
+# the null half-lines and sampling that vacua.alpha_numeric/beta_numeric use
+neg_line = md.SurfaceSampling(md.NullULine(side=-1), samples=1024, window=8 * math.pi)
+pos_line = md.SurfaceSampling(md.NullULine(side=+1), samples=1024, window=8 * math.pi)
 wedge_R = md.ModeSpec(md.ModeKind.RINDLER_WEDGE, 1.0, wedge="right", direction=+1)
 wedge_L = md.ModeSpec(md.ModeKind.RINDLER_WEDGE, 1.0, wedge="left", direction=+1)
 print(f"  right-wedge boost mode: <f, f> = {md.kg_inner(wedge_R, wedge_R, neg_line):.6f}")

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from rindler_lab import vacua as vc
-from rindler_lab.modes import NullULine, SurfaceSampling
 from rindler_lab.spacetime import EventRindler
 
 print("=== 1. closed-form coefficients in two conventions ===")
@@ -27,14 +26,12 @@ print(f"  damped-weight convention at W = 1: alpha = beta = {lit.alpha.real:.6f}
       f"defect = {lit.normalization_defect:+.1f} (reported, not hidden)")
 
 print("\n=== 2. the same coefficients from numerical Klein-Gordon overlaps ===")
-neg = SurfaceSampling(NullULine(side=-1), samples=8192, window=8 * math.pi)
-pos = SurfaceSampling(NullULine(side=+1), samples=8192, window=8 * math.pi)
 for om in (0.5, 1.0):
-    alpha = vc.alpha_numeric(om, om, neg)
-    beta = vc.beta_numeric(om, om, pos)
+    alpha = vc.alpha_numeric(om, om)
+    beta = vc.beta_numeric(om, om)
     print(f"  W = {om:4.1f}: |beta/alpha| = {abs(beta/alpha):.8f}   "
           f"e^{{-pi W}} = {math.exp(-math.pi*om):.8f}")
-off = abs(vc.beta_numeric(1.0, 3.0, pos)) / abs(vc.beta_numeric(1.0, 1.0, pos))
+off = abs(vc.beta_numeric(1.0, 3.0)) / abs(vc.beta_numeric(1.0, 1.0))
 print(f"  off-diagonal leakage |beta(1,3)|/|beta(1,1)| = {off:.2e} (window-limited)")
 
 print("\n=== 3. KMS periodicity with a twist ===")

@@ -4,7 +4,9 @@ Modes are functions of the dimensionless null coordinates ``u = t - z`` and
 ``v = t + z`` (length scale absorbed).  Ten families are supported, from
 plane waves through wedge-restricted boost modes to the globally defined
 positive-norm combinations that stay purely positive frequency with respect
-to inertial time for every boost frequency.
+to inertial time for every boost frequency.  Each family is a short table
+of terms, plane waves or power laws in one null coordinate; mode values
+and their exact derivatives along a sampling line both come from it.
 
 Branch convention
 -----------------
@@ -34,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -139,28 +141,99 @@ def unruh_normalization(omega: float) -> float:
     )
 
 
-def _signed_power(x: np.ndarray, exponent: float, branch: BranchCut) -> np.ndarray:
-    """``(x -+ i0)**(i*exponent)`` for real ``x``, elementwise.
+class _Term(NamedTuple):
+    """``exp(-i*kappa*x)`` if ``plane``, else ``(sign*x -+ i0)**(i*kappa)`` with the cut
+    on ``branch``'s side (None: the term is 0 at ``sign*x < 0``), for ``x`` the null
+    coordinate ``coord`` (0: ``u``, 1: ``v``) and the other of sign ``other`` (0: any)."""
 
-    Zero at ``x == 0`` (the branch point has measure zero on any sampling
-    surface and no finite limit exists there).
-    """
-    out = np.zeros(np.shape(x), dtype=complex)
-    pos = x > 0
-    neg = x < 0
-    out[pos] = np.exp(1j * exponent * np.log(x[pos]))
-    cut_factor = math.exp(math.pi * exponent) if branch is BranchCut.UPPER else math.exp(
-        -math.pi * exponent
-    )
-    out[neg] = np.exp(1j * exponent * np.log(-x[neg])) * cut_factor
-    return out
+    coord: int
+    kappa: float
+    sign: int = +1
+    branch: Optional[BranchCut] = None
+    other: int = 0
+    plane: bool = False
 
 
-def _positive_power(x: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
-    """``x**(i*exponent)`` on the mask ``where`` (with ``x > 0``), else 0."""
-    out = np.zeros(np.shape(x), dtype=complex)
-    out[where] = np.exp(1j * exponent * np.log(x[where]))
-    return out
+def _family(spec: ModeSpec) -> tuple[float, bool, list[_Term]]:
+    """``(norm, divide, terms)``: the mode is ``norm * (t_0 - t_1)``, or
+    ``(t_0 - t_1) / norm`` if ``divide``, in its defining expression's order."""
+    om, branch = spec.omega, spec.branch
+    box = math.sqrt(4.0 * math.pi * abs(om))
+    x = 0 if spec.direction == +1 else 1  # the coordinate a one-way family moves along
+    # each wedge's mover pair: (-x)**(+i om) on x < 0 or x**(-i om) on x > 0,
+    # arranged so the supported region intersects the wedge
+    own_side = (spec.wedge == "right") == (spec.direction == +1)
+
+    def unruh(w: float, cut: BranchCut):
+        return unruh_normalization(w), False, [_Term(x, w, branch=cut)]
+
+    table: dict[ModeKind, Callable[[], tuple[float, bool, list[_Term]]]] = {
+        ModeKind.PLANE_WAVE_RIGHT: lambda: (box, True, [_Term(0, om, plane=True)]),
+        ModeKind.PLANE_WAVE_LEFT: lambda: (box, True, [_Term(1, om, plane=True)]),
+        ModeKind.RINDLER_WEDGE: lambda: (
+            1.0 / box, False, [_Term(x, +om, sign=-1) if own_side else _Term(x, -om)]
+        ),
+        ModeKind.UNRUH_MINKOWSKI: lambda: unruh(om, branch),
+        ModeKind.MIRROR_STATIC: lambda: (
+            math.exp(-math.pi * om / 2.0) / math.sqrt(4.0 * om * math.sinh(math.pi * om)), False,
+            [_Term(0, om, branch=branch), _Term(1, om, branch=branch)],
+        ),
+        # left movers at v < 0 and right movers at u > 0 (no mirror there)
+        ModeKind.MIRROR_FAMILY_1: lambda: (box, True, [_Term(1, +om, sign=-1)]),
+        ModeKind.MIRROR_FAMILY_3: lambda: (box, True, [_Term(0, -om)]),
+        # right-wedge superposition vanishing on the mirror surface u*v = -1;
+        # the sign-changing powers of the defining expression are taken with
+        # correlated branch rotations, which lands on the positive-norm
+        # right-wedge pair (-u)**(i Omega) - v**(-i Omega) on u < 0 < v.
+        ModeKind.MIRROR_FAMILY_2: lambda: (
+            1.0 / box, False, [_Term(0, +om, sign=-1, other=+1), _Term(1, -om, other=-1)]
+        ),
+        # The extensions weight their own wedge by exp(+pi*Omega/2) and the
+        # conjugated opposite-wedge mode by exp(-pi*Omega/2), over
+        # sqrt(2 sinh(pi*Omega)): globally the upper-cut Unruh modes at boost
+        # frequency +-Omega; only the upper cut keeps the norm positive.
+        ModeKind.EXTENDED_RIGHT: lambda: unruh(+om, BranchCut.UPPER),
+        ModeKind.EXTENDED_LEFT: lambda: unruh(-om, BranchCut.UPPER),
+    }
+    return table[spec.kind]()
+
+
+def _term(term: _Term, x: np.ndarray, other: np.ndarray, rate) -> tuple:
+    """Value of a term, and its exact ``d/ds`` along a line with ``dx/ds = rate``."""
+    if term.plane:
+        value = np.exp(-1j * term.kappa * x)
+        return value, None if rate is None else -1j * term.kappa * rate * value
+    y = x if term.sign > 0 else -x
+    value = np.zeros(np.shape(x), dtype=complex)
+    inside = y > 0
+    if term.other:
+        inside &= (other > 0) if term.other > 0 else (other < 0)
+    value[inside] = np.exp(1j * term.kappa * np.log(y[inside]))
+    if term.branch is not None:  # |y|**(i kappa) times exp(+-pi kappa) on y < 0
+        across, k = y < 0, term.kappa
+        cut = math.exp(math.pi * k) if term.branch is BranchCut.UPPER else math.exp(-math.pi * k)
+        value[across] = np.exp(1j * k * np.log(-y[across])) * cut
+    if rate is None:
+        return value, None
+    # i kappa value (dx/ds)/x, and 0 at the branch point like the value
+    per_x = np.divide(rate, x, out=np.zeros(np.shape(x)), where=x != 0)
+    return value, 1j * term.kappa * per_x * value
+
+
+def _evaluate(spec: ModeSpec, u, v, rates=(None, None)) -> tuple:
+    """Mode values at ``(u, v)``, and with ``rates = (du/ds, dv/ds)`` their
+    exact derivatives along the line (else None)."""
+    coords = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if not all(np.all(np.isfinite(c)) for c in coords):
+        raise DomainError("mode evaluation requires finite coordinates")
+    norm, divide, terms = _family(spec)
+    parts = [_term(t, coords[t.coord], coords[1 - t.coord], rates[t.coord]) for t in terms]
+
+    def combine(k):
+        total = parts[0][k] if len(parts) == 1 else parts[0][k] - parts[1][k]
+        return total / norm if divide else norm * total
+
+    return combine(0), None if rates[0] is None else combine(1)
 
 
 def eval_mode(spec: ModeSpec, u, v):
@@ -170,79 +243,8 @@ def eval_mode(spec: ModeSpec, u, v):
     families return exactly 0 outside their support.  Values at a branch
     point (a vanishing null coordinate of a power-law family) are 0.
     """
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    if u_arr.shape != v_arr.shape:
-        u_arr, v_arr = np.broadcast_arrays(u_arr, v_arr)
-    if not (np.all(np.isfinite(u_arr)) and np.all(np.isfinite(v_arr))):
-        raise DomainError("mode evaluation requires finite coordinates")
-    om = spec.omega
-    kind = spec.kind
-
-    if kind is ModeKind.PLANE_WAVE_RIGHT:
-        out = np.exp(-1j * om * u_arr) / math.sqrt(4.0 * math.pi * abs(om))
-    elif kind is ModeKind.PLANE_WAVE_LEFT:
-        out = np.exp(-1j * om * v_arr) / math.sqrt(4.0 * math.pi * abs(om))
-    elif kind is ModeKind.RINDLER_WEDGE:
-        norm = 1.0 / math.sqrt(4.0 * math.pi * om)
-        x = u_arr if spec.direction == +1 else v_arr
-        # each wedge's mover pair: (-x)**(+i om) on x < 0 or x**(-i om) on
-        # x > 0, arranged so the supported region intersects the wedge
-        if (spec.wedge == "right") == (spec.direction == +1):
-            out = norm * _positive_power(-x, +om, x < 0)
-        else:
-            out = norm * _positive_power(x, -om, x > 0)
-    elif kind is ModeKind.UNRUH_MINKOWSKI:
-        coord = u_arr if spec.direction == +1 else v_arr
-        out = unruh_normalization(om) * _signed_power(coord, om, spec.branch)
-    elif kind is ModeKind.MIRROR_STATIC:
-        norm = math.exp(-math.pi * om / 2.0) / math.sqrt(4.0 * om * math.sinh(math.pi * om))
-        out = norm * (
-            _signed_power(u_arr, om, spec.branch) - _signed_power(v_arr, om, spec.branch)
-        )
-    elif kind is ModeKind.MIRROR_FAMILY_1:
-        # left movers in the v < 0 region (no mirror there)
-        out = _positive_power(-v_arr, +om, v_arr < 0) / math.sqrt(4.0 * math.pi * om)
-    elif kind is ModeKind.MIRROR_FAMILY_3:
-        # right movers in the u > 0 region (no mirror there)
-        out = _positive_power(u_arr, -om, u_arr > 0) / math.sqrt(4.0 * math.pi * om)
-    elif kind is ModeKind.MIRROR_FAMILY_2:
-        # right-wedge superposition vanishing on the mirror surface u*v = -1;
-        # the sign-changing powers of the defining expression are taken with
-        # correlated branch rotations, which lands on the positive-norm
-        # right-wedge pair (-u)**(i Omega) - v**(-i Omega).
-        region = (u_arr < 0) & (v_arr > 0)
-        norm = 1.0 / math.sqrt(4.0 * math.pi * om)
-        right_mover = _positive_power(-u_arr, +om, region)
-        left_mover = _positive_power(v_arr, -om, region)
-        out = norm * (right_mover - left_mover)
-    elif kind is ModeKind.EXTENDED_RIGHT:
-        out = _extended_mode(om, u_arr if spec.direction == +1 else v_arr, side="right")
-    elif kind is ModeKind.EXTENDED_LEFT:
-        out = _extended_mode(om, u_arr if spec.direction == +1 else v_arr, side="left")
-    else:  # pragma: no cover
-        raise DomainError(f"unknown mode kind {kind!r}")
-
-    if np.ndim(u) == 0 and np.ndim(v) == 0:
-        return complex(out)
-    return out
-
-
-def _extended_mode(om: float, x: np.ndarray, side: str) -> np.ndarray:
-    """Positive-norm extension of a wedge mode to the full axis.
-
-    Each family weights its own wedge by ``exp(+pi*Omega/2)`` and the
-    conjugated opposite-wedge mode by ``exp(-pi*Omega/2)``, all over
-    ``sqrt(2 sinh(pi*Omega))``.  Globally both are upper-cut power laws:
-    the right family is ``(x - i0)**(+i*Omega)`` times
-    ``unruh_normalization(+Omega)`` and the left family is
-    ``(x - i0)**(-i*Omega)`` times ``unruh_normalization(-Omega)`` (the
-    same positive-frequency construction at boost frequency ``-Omega``);
-    only the upper cut keeps the norm positive.
-    """
-    if side == "right":
-        return unruh_normalization(om) * _signed_power(x, +om, BranchCut.UPPER)
-    return unruh_normalization(-om) * _signed_power(x, -om, BranchCut.UPPER)
+    out, _ = _evaluate(spec, u, v)
+    return complex(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
 def extended_rindler_mode(omega: float, wedge_side: str, u, v=0.0):
@@ -345,22 +347,17 @@ class SurfaceSampling:
         d(param)`` along the physical integration direction (ascending
         ``t`` or ascending ``u``).
         """
-        # offset by a half step so branch points at the origin are not hit
-        s = np.linspace(-self.window, self.window, self.samples, endpoint=False)
-        s = s + self.window / self.samples
+        # cell midpoints, exactly symmetric about 0: an even count straddles
+        # the origin and an odd count puts a node on it
+        s = (2.0 * np.arange(self.samples) + (1 - self.samples)) * (self.window / self.samples)
         if self.taper == "gaussian":
             w = np.exp(-0.5 * (s / (self.window / 5.0)) ** 2)
         else:
             w = np.ones_like(s)
         if isinstance(self.surface, ConstZLine):
-            t = s
-            u = t - self.surface.z
-            v = t + self.surface.z
-            return s, u, v, w, +1
+            return s, s - self.surface.z, s + self.surface.z, w, +1
         u = self.surface.side * np.exp(s)
-        v = np.full_like(u, self.surface.v)
-        orientation = -1 if self.surface.side < 0 else +1
-        return s, u, v, w, orientation
+        return s, u, np.full_like(u, self.surface.v), w, self.surface.side
 
 
 def kg_inner(
@@ -376,8 +373,9 @@ def kg_inner(
     The symplectic integral is evaluated along the sampling line in its
     uniform parameter (the product is reparameterization invariant up to
     orientation, which is applied for descending null coordinates).
-    Derivatives are second-order central differences on the parameter
-    grid; the taper multiplies the integrand.
+    Derivatives along the line are exact (each term of the mode's table in
+    closed form), so the trapezoid rule is spectrally accurate on the
+    integrand, which the taper multiplies.
 
     ``conjugate_f``/``conjugate_g`` replace a mode by its complex
     conjugate before the product, giving access to the negative-norm
@@ -392,24 +390,20 @@ def kg_inner(
         If the integrand vanishes identically (disjoint supports).
     """
     s, u, v, w, orientation = sampling.grid()
-    fv, gv = eval_mode(f, u, v), eval_mode(g, u, v)
+    # d(u, v)/ds: the parameter is t on a ConstZLine and log|u| on a NullULine
+    rates = (1.0, 1.0) if isinstance(sampling.surface, ConstZLine) else (u, 0.0)
+    fv, df = _evaluate(f, u, v, rates)
+    gv, dg = _evaluate(g, u, v, rates)
     if conjugate_f:
-        fv = np.conj(fv)
-    if conjugate_g:
-        gv = np.conj(gv)
-    # in place and with one conjugate: each full-size temporary is a fresh
-    # heap block, and their page faults cost more than the arithmetic
-    g_conj = np.conj(gv)
-    integrand = fv * np.gradient(g_conj, s)
-    integrand -= g_conj * np.gradient(fv, s)
-    integrand *= w
-    peak = float(np.max(np.abs(integrand)))
+        fv, df = np.conj(fv), np.conj(df)
+    if not conjugate_g:  # the product takes the conjugate of g
+        gv, dg = np.conj(gv), np.conj(dg)
+    integrand = (fv * dg - gv * df) * w
+    mag, rim = np.abs(integrand), max(2, len(s) // 50)
+    peak = float(np.max(mag))
     if peak == 0.0:
         raise SupportError("integrand vanishes identically: mode supports do not meet the surface")
-    edge = max(
-        float(np.max(np.abs(integrand[: max(2, len(s) // 50)]))),
-        float(np.max(np.abs(integrand[-max(2, len(s) // 50):]))),
-    )
+    edge = float(max(np.max(mag[:rim]), np.max(mag[-rim:])))
     if edge > tail_tol * peak:
         raise WindowError(
             f"tapered integrand at the window edge is {edge / peak:.2e} of its peak "

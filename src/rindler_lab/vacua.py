@@ -34,6 +34,7 @@ per-pair and per-shift factors and combines them as an outer product.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ _CONVENTIONS = ("standard", "symmetric")
 
 _NOT_FINITE = "KMS interval is not finite: ell is out of range for the sample events"
 _COINCIDENT = "two-point function diverges at the coincidence limit"
+_LIGHT_CONE = 512 * 2.0**-52  # |ds2| / (S cosh^2 X + C) below which ds2 is roundoff
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,8 @@ def particle_number_foreign_vacuum(omega: float, convention: str = "standard") -
     raise DomainError(f"convention must be one of {_CONVENTIONS}")
 
 
-def _default_sampling(window: float = 8.0 * math.pi, samples: int = 8192) -> tuple[
-    SurfaceSampling, SurfaceSampling
-]:
-    neg = SurfaceSampling(NullULine(side=-1), samples=samples, window=window)
-    pos = SurfaceSampling(NullULine(side=+1), samples=samples, window=window)
-    return neg, pos
+def _default_sampling(window: float = 8.0 * math.pi, samples: int = 1024) -> tuple:
+    return tuple(SurfaceSampling(NullULine(side), samples, window) for side in (-1, +1))
 
 
 def alpha_numeric(
@@ -207,13 +205,18 @@ def rindler_interval(x: EventRindler, xp: EventRindler, ell: float) -> complex:
     ``ell^2``, with the ``e^{2|zbar|/ell}``-sized terms cancelled
     analytically, so it keeps full relative precision at small ``ell``.
     It is exactly periodic in each time argument under shifts by ``2 pi i ell``.
+    Raises :class:`DomainError` if the interval overflows.
     """
     if ell <= 0:
         raise DomainError("ell must be positive")
-    ab = math.exp((x.zbar + xp.zbar) / ell)
-    a_minus_b = math.exp(xp.zbar / ell) * math.expm1((x.zbar - xp.zbar) / ell)
-    half = cmath.sinh((complex(x.tbar) - complex(xp.tbar)) / (2.0 * ell))
-    return ell * ell * (4.0 * ab * (half * half) - a_minus_b * a_minus_b)
+    with contextlib.suppress(OverflowError):
+        ab = math.exp((x.zbar + xp.zbar) / ell)
+        a_minus_b = math.exp(xp.zbar / ell) * math.expm1((x.zbar - xp.zbar) / ell)
+        half = cmath.sinh((complex(x.tbar) - complex(xp.tbar)) / (2.0 * ell))
+        ds2 = ell * ell * (4.0 * ab * (half * half) - a_minus_b * a_minus_b)
+        if cmath.isfinite(ds2):
+            return ds2
+    raise DomainError(_NOT_FINITE)
 
 
 def _interval_parts(
@@ -285,20 +288,21 @@ def _twist_residual_fn(
     if not (ell > 0.0 and math.isfinite(ell)):
         raise DomainError("ell must be positive and finite")
     parts = _interval_parts(pairs, ell)
+    scale, offset, sc, ss, cs, cc = parts
     ds_re, ds_im = _twisted_interval(parts, 0.0)
     with np.errstate(all="ignore"):
         ds_abs = np.hypot(ds_re, ds_im)
-    if not np.all(np.isfinite(ds_abs)):
+        size = scale * (cc * cc + cs * cs) + offset
+    if not (np.all(np.isfinite(ds_abs)) and np.all(np.isfinite(size))):
         raise DomainError(_NOT_FINITE)
-    if np.any(ds_abs == 0):
+    if np.any(ds_abs <= _LIGHT_CONE * size):
         raise DomainError(_COINCIDENT)
     # a consistent time-order marker keeps timelike intervals on one side
     # of the log cut; roundoff in the twisted interval would otherwise
     # pick the branch at random
     marker = 1e-12 * np.maximum(1.0, ds_abs)
-    scale, offset, sc, ss, cs, cc = parts
     with np.errstate(all="ignore"):
-        unit = scale * (cc * cc + cs * cs) + offset + marker
+        unit = size + marker
         parts = (scale / unit, offset / unit, sc, ss, cs, cc)
         w_re, w_im = -ds_re / unit, (marker - ds_im) / unit
         log_direct = 0.5 * np.log(w_re * w_re + w_im * w_im)
@@ -340,7 +344,8 @@ def kms_twist_residual(
     ------
     DomainError
         If ``ell`` is not positive and finite, if an interval is not finite
-        (``ell`` too small for the events) or if one vanishes.
+        (``ell`` too small for the events) or if one vanishes to roundoff
+        (a pair on the light cone, where ``G`` diverges).
     """
     return _twist_residual_fn(pairs, ell)(shift)
 

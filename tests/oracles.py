@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they are checking: the brute-force
 oscillatory integral works on the real axis with truncation and sequence
-extrapolation (no contour rotation), and the ray-quadrature incomplete
-gamma drives scipy directly (no power series, no continued fraction).
-High precision values are frozen from mpmath where used.
+extrapolation (no contour rotation), the ray-quadrature incomplete
+gamma drives scipy directly (no power series, no continued fraction), and
+the tapered Klein-Gordon overlap is closed in mpmath's complex ``erf`` (no
+sampled modes).  Other high precision values are frozen from mpmath.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
@@ -104,3 +106,38 @@ def closed_form_oscillatory(omega: float, p: float, sign: int) -> complex:
         * cmath.exp(1j * sign * math.pi * (p + 1.0) / 2.0)
         * gamma_complex(complex(p + 1.0, sign * omega))
     )
+
+
+def tapered_overlap(omega: float, omega_bar: float, sampling) -> tuple[complex, float]:
+    """``alpha_numeric`` or ``beta_numeric`` in closed form, and its diagonal scale.
+
+    On the null line ``u = side e^s`` the modes paired by ``alpha_numeric``
+    (``side = -1``) and ``beta_numeric`` (``side = +1``) are plane waves in
+    ``s``, so the Klein-Gordon integrand is
+    ``-i (Omega + Omega_bar) N_U N_W c e^{i (Omega - Omega_bar) s}`` times the
+    Gaussian taper, with ``c = e^{pi Omega}`` on ``u < 0`` (upper cut) and 1
+    on ``u > 0``.  Its exact integral over the sampled span
+    ``[s_0, s_{N-1}]`` completes the square into the complex ``erf``.  The
+    scale is the magnitude of the same integral at ``Omega_bar = Omega``.
+    """
+    s = sampling.grid()[0]
+    side = sampling.surface.side
+    with mp.workdps(40):
+        om, om_bar = mp.mpf(omega), mp.mpf(omega_bar)
+        sigma = mp.mpf(sampling.window) / 5
+        n_u = mp.exp(-mp.pi * om / 2) / mp.sqrt(8 * mp.pi * om * mp.sinh(mp.pi * om))
+        n_w = 1 / mp.sqrt(4 * mp.pi * om_bar)
+        cut = mp.exp(mp.pi * om) if side < 0 else 1
+        # orientation is the sign of du/ds, which is side
+        prefactor = -side * (om + om_bar) * n_u * n_w * cut / 2
+
+        def taper_integral(k):
+            # int exp(-s^2/(2 sigma^2) + i k s) ds over the span
+            centre, width = 1j * k * sigma**2, sigma * mp.sqrt(2)
+            lo, hi = ((mp.mpf(float(x)) - centre) / width for x in s[[0, -1]])
+            gauss = sigma * mp.sqrt(mp.pi / 2) * mp.exp(-((k * sigma) ** 2) / 2)
+            return gauss * (mp.erf(hi) - mp.erf(lo))
+
+        value = prefactor * taper_integral(om - om_bar)
+        scale = abs(prefactor * taper_integral(0))
+        return complex(value), float(scale)

@@ -14,8 +14,9 @@ from rindler_lab import numerics as nm
 from rindler_lab import perturbation as pt
 from rindler_lab import spacetime as st
 from rindler_lab import vacua as vc
-from rindler_lab.modes import NullULine, SurfaceSampling
 from rindler_lab.spacetime import DimensionlessParams, EventRindler
+
+from oracles import tapered_overlap
 
 
 def report(num, name, measured, bound, ok, started):
@@ -142,16 +143,18 @@ def test_criterion_07_bogoliubov():
             worst_planck,
             abs(abs(pair.beta) ** 2 / pt.planck_factor(2.0 * math.pi * float(om)) - 1.0),
         )
-    sampling_neg = SurfaceSampling(NullULine(side=-1), samples=8192, window=8 * math.pi)
-    sampling_pos = SurfaceSampling(NullULine(side=+1), samples=8192, window=8 * math.pi)
-    ratio = abs(vc.beta_numeric(1.0, 1.0, sampling_pos) / vc.alpha_numeric(1.0, 1.0, sampling_neg))
-    ratio_dev = abs(ratio / math.exp(-math.pi) - 1.0)
+    # the numeric overlaps against their closed form on the sampled span
+    worst_overlap = 0.0
+    for numeric, sampling in zip((vc.alpha_numeric, vc.beta_numeric), vc._default_sampling()):
+        want, scale = tapered_overlap(1.0, 1.0, sampling)
+        worst_overlap = max(worst_overlap, abs(numeric(1.0, 1.0) - want) / scale)
     report(
         7,
-        "Bogoliubov: unit normalization, Planck occupation, numeric beta/alpha",
+        "Bogoliubov: unit normalization, Planck occupation, numeric alpha/beta "
+        f"{worst_overlap:.1e} of the diagonal from the oracle (bound 2e-9)",
         max(worst_norm, worst_planck),
         1e-12,
-        worst_norm < 1e-12 and worst_planck < 1e-12 and ratio_dev < 0.02,
+        worst_norm < 1e-12 and worst_planck < 1e-12 and worst_overlap <= 2e-9,
         t0,
     )
 

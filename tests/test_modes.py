@@ -1,6 +1,8 @@
 """Mode families, Klein-Gordon products and spectral content."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,43 @@ class TestKgInner:
         lhs = md.kg_inner(f, g, sampling, conjugate_f=True, conjugate_g=True)
         rhs = -md.kg_inner(g, f, sampling)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("kind", list(md.ModeKind))
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_exact_derivatives_match_central_differences(self, kind, direction):
+        spec = md.ModeSpec(kind, 1.3, direction=direction)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.2, 3.0, 40) * rng.choice([-1.0, 1.0], 40)
+        v = rng.uniform(0.2, 3.0, 40) * rng.choice([-1.0, 1.0], 40)
+        h = 1e-6
+        # along t (du/dt = dv/dt = 1) and along s = log|u| at fixed v (du/ds = u)
+        up, down = math.exp(h), math.exp(-h)
+        lines = [
+            ((1.0, 1.0), md.eval_mode(spec, u + h, v + h) - md.eval_mode(spec, u - h, v - h)),
+            ((u, 0.0), md.eval_mode(spec, u * up, v) - md.eval_mode(spec, u * down, v)),
+        ]
+        for rates, difference in lines:
+            _, slope = md._evaluate(spec, u, v, rates)
+            np.testing.assert_allclose(slope, difference / (2 * h), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", [UM, md.ModeKind.MIRROR_STATIC])
+    def test_branch_point_node_at_odd_sample_count(self, kind):
+        # 1025 nodes symmetric about 0 put one on t = 0, where u = v = 0 on
+        # the z = 0 line; a power law and its derivative are 0 there
+        spec = md.ModeSpec(kind, 1.0)
+        sampling = md.SurfaceSampling(md.ConstZLine(0.0), samples=1025, window=4 * math.pi)
+        s, u, v, _, _ = sampling.grid()
+        assert u[512] == 0.0 and v[512] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, slope = md._evaluate(spec, u, v, (1.0, 1.0))
+            assert value[512] == 0.0 and slope[512] == 0.0
+            assert np.all(np.isfinite(slope))
+            # a line through a node at u = 0 alone, where the static mirror
+            # does not vanish identically
+            line = md.SurfaceSampling(md.ConstZLine(float(s[600])), 1025, 4 * math.pi)
+            assert line.grid()[1][600] == 0.0
+            assert cmath.isfinite(md.kg_inner(spec, spec, line))
 
     def test_disjoint_supports(self):
         f = md.ModeSpec(md.ModeKind.RINDLER_WEDGE, 1.0, wedge="right", direction=+1)
