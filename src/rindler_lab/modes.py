@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -160,42 +160,39 @@ def _family(spec: ModeSpec) -> tuple[float, bool, list[_Term]]:
     om, branch = spec.omega, spec.branch
     box = math.sqrt(4.0 * math.pi * abs(om))
     x = 0 if spec.direction == +1 else 1  # the coordinate a one-way family moves along
-    # each wedge's mover pair: (-x)**(+i om) on x < 0 or x**(-i om) on x > 0,
-    # arranged so the supported region intersects the wedge
-    own_side = (spec.wedge == "right") == (spec.direction == +1)
-
-    def unruh(w: float, cut: BranchCut):
-        return unruh_normalization(w), False, [_Term(x, w, branch=cut)]
-
-    table: dict[ModeKind, Callable[[], tuple[float, bool, list[_Term]]]] = {
-        ModeKind.PLANE_WAVE_RIGHT: lambda: (box, True, [_Term(0, om, plane=True)]),
-        ModeKind.PLANE_WAVE_LEFT: lambda: (box, True, [_Term(1, om, plane=True)]),
-        ModeKind.RINDLER_WEDGE: lambda: (
-            1.0 / box, False, [_Term(x, +om, sign=-1) if own_side else _Term(x, -om)]
-        ),
-        ModeKind.UNRUH_MINKOWSKI: lambda: unruh(om, branch),
-        ModeKind.MIRROR_STATIC: lambda: (
-            math.exp(-math.pi * om / 2.0) / math.sqrt(4.0 * om * math.sinh(math.pi * om)), False,
-            [_Term(0, om, branch=branch), _Term(1, om, branch=branch)],
-        ),
-        # left movers at v < 0 and right movers at u > 0 (no mirror there)
-        ModeKind.MIRROR_FAMILY_1: lambda: (box, True, [_Term(1, +om, sign=-1)]),
-        ModeKind.MIRROR_FAMILY_3: lambda: (box, True, [_Term(0, -om)]),
-        # right-wedge superposition vanishing on the mirror surface u*v = -1;
-        # the sign-changing powers of the defining expression are taken with
-        # correlated branch rotations, which lands on the positive-norm
-        # right-wedge pair (-u)**(i Omega) - v**(-i Omega) on u < 0 < v.
-        ModeKind.MIRROR_FAMILY_2: lambda: (
-            1.0 / box, False, [_Term(0, +om, sign=-1, other=+1), _Term(1, -om, other=-1)]
-        ),
-        # The extensions weight their own wedge by exp(+pi*Omega/2) and the
-        # conjugated opposite-wedge mode by exp(-pi*Omega/2), over
-        # sqrt(2 sinh(pi*Omega)): globally the upper-cut Unruh modes at boost
-        # frequency +-Omega; only the upper cut keeps the norm positive.
-        ModeKind.EXTENDED_RIGHT: lambda: unruh(+om, BranchCut.UPPER),
-        ModeKind.EXTENDED_LEFT: lambda: unruh(-om, BranchCut.UPPER),
-    }
-    return table[spec.kind]()
+    match spec.kind:
+        case ModeKind.PLANE_WAVE_RIGHT:
+            return box, True, [_Term(0, om, plane=True)]
+        case ModeKind.PLANE_WAVE_LEFT:
+            return box, True, [_Term(1, om, plane=True)]
+        case ModeKind.RINDLER_WEDGE:
+            # each wedge's mover pair: (-x)**(+i om) on x < 0 or x**(-i om) on
+            # x > 0, arranged so the supported region intersects the wedge
+            own_side = (spec.wedge == "right") == (spec.direction == +1)
+            return 1.0 / box, False, [_Term(x, +om, sign=-1) if own_side else _Term(x, -om)]
+        case ModeKind.UNRUH_MINKOWSKI:
+            return unruh_normalization(om), False, [_Term(x, om, branch=branch)]
+        case ModeKind.MIRROR_STATIC:
+            norm = math.exp(-math.pi * om / 2.0) / math.sqrt(4.0 * om * math.sinh(math.pi * om))
+            return norm, False, [_Term(0, om, branch=branch), _Term(1, om, branch=branch)]
+        case ModeKind.MIRROR_FAMILY_1:  # left movers at v < 0 (no mirror there)
+            return box, True, [_Term(1, +om, sign=-1)]
+        case ModeKind.MIRROR_FAMILY_3:  # right movers at u > 0 (no mirror there)
+            return box, True, [_Term(0, -om)]
+        case ModeKind.MIRROR_FAMILY_2:
+            # right-wedge superposition vanishing on the mirror surface u*v = -1;
+            # the sign-changing powers of the defining expression are taken with
+            # correlated branch rotations, which lands on the positive-norm
+            # right-wedge pair (-u)**(i Omega) - v**(-i Omega) on u < 0 < v.
+            return 1.0 / box, False, [_Term(0, +om, sign=-1, other=+1), _Term(1, -om, other=-1)]
+        case ModeKind.EXTENDED_RIGHT | ModeKind.EXTENDED_LEFT:
+            # The extensions weight their own wedge by exp(+pi*Omega/2) and the
+            # conjugated opposite-wedge mode by exp(-pi*Omega/2), over
+            # sqrt(2 sinh(pi*Omega)): globally the upper-cut Unruh modes at boost
+            # frequency +-Omega; only the upper cut keeps the norm positive.
+            w = +om if spec.kind is ModeKind.EXTENDED_RIGHT else -om
+            return unruh_normalization(w), False, [_Term(x, w, branch=BranchCut.UPPER)]
+    raise DomainError(f"unknown mode kind {spec.kind!r}")  # pragma: no cover
 
 
 def _term(term: _Term, x: np.ndarray, other: np.ndarray, rate) -> tuple:
@@ -355,9 +352,14 @@ class SurfaceSampling:
         else:
             w = np.ones_like(s)
         if isinstance(self.surface, ConstZLine):
-            return s, s - self.surface.z, s + self.surface.z, w, +1
+            t = s
+            u = t - self.surface.z
+            v = t + self.surface.z
+            return s, u, v, w, +1
         u = self.surface.side * np.exp(s)
-        return s, u, np.full_like(u, self.surface.v), w, self.surface.side
+        v = np.full_like(u, self.surface.v)
+        orientation = -1 if self.surface.side < 0 else +1
+        return s, u, v, w, orientation
 
 
 def kg_inner(

@@ -34,7 +34,6 @@ per-pair and per-shift factors and combines them as an outer product.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,7 +63,9 @@ _CONVENTIONS = ("standard", "symmetric")
 
 _NOT_FINITE = "KMS interval is not finite: ell is out of range for the sample events"
 _COINCIDENT = "two-point function diverges at the coincidence limit"
-_LIGHT_CONE = 512 * 2.0**-52  # |ds2| / (S cosh^2 X + C) below which ds2 is roundoff
+# a pair is on the light cone when |ds2| is at most this fraction of its two terms'
+# size S |sinh h|^2 + C; G = -log(ds2)/(4 pi) has roundoff of about eps over it
+_LIGHT_CONE = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,12 @@ def particle_number_foreign_vacuum(omega: float, convention: str = "standard") -
     raise DomainError(f"convention must be one of {_CONVENTIONS}")
 
 
-def _default_sampling(window: float = 8.0 * math.pi, samples: int = 1024) -> tuple:
-    return tuple(SurfaceSampling(NullULine(side), samples, window) for side in (-1, +1))
+def _default_sampling(window: float = 8.0 * math.pi, samples: int = 1024) -> tuple[
+    SurfaceSampling, SurfaceSampling
+]:
+    neg = SurfaceSampling(NullULine(side=-1), samples=samples, window=window)
+    pos = SurfaceSampling(NullULine(side=+1), samples=samples, window=window)
+    return neg, pos
 
 
 def alpha_numeric(
@@ -209,14 +214,16 @@ def rindler_interval(x: EventRindler, xp: EventRindler, ell: float) -> complex:
     """
     if ell <= 0:
         raise DomainError("ell must be positive")
-    with contextlib.suppress(OverflowError):
+    try:
         ab = math.exp((x.zbar + xp.zbar) / ell)
         a_minus_b = math.exp(xp.zbar / ell) * math.expm1((x.zbar - xp.zbar) / ell)
         half = cmath.sinh((complex(x.tbar) - complex(xp.tbar)) / (2.0 * ell))
-        ds2 = ell * ell * (4.0 * ab * (half * half) - a_minus_b * a_minus_b)
-        if cmath.isfinite(ds2):
-            return ds2
-    raise DomainError(_NOT_FINITE)
+    except OverflowError:
+        raise DomainError(_NOT_FINITE) from None
+    ds2 = ell * ell * (4.0 * ab * (half * half) - a_minus_b * a_minus_b)
+    if not cmath.isfinite(ds2):
+        raise DomainError(_NOT_FINITE)
+    return ds2
 
 
 def _interval_parts(
@@ -292,17 +299,17 @@ def _twist_residual_fn(
     ds_re, ds_im = _twisted_interval(parts, 0.0)
     with np.errstate(all="ignore"):
         ds_abs = np.hypot(ds_re, ds_im)
-        size = scale * (cc * cc + cs * cs) + offset
-    if not (np.all(np.isfinite(ds_abs)) and np.all(np.isfinite(size))):
+        terms = scale * (sc * sc + cs * cs) + offset  # S |sinh h|^2 + C
+    if not (np.all(np.isfinite(ds_abs)) and np.all(np.isfinite(terms))):
         raise DomainError(_NOT_FINITE)
-    if np.any(ds_abs <= _LIGHT_CONE * size):
+    if np.any(ds_abs <= _LIGHT_CONE * terms):
         raise DomainError(_COINCIDENT)
     # a consistent time-order marker keeps timelike intervals on one side
     # of the log cut; roundoff in the twisted interval would otherwise
     # pick the branch at random
     marker = 1e-12 * np.maximum(1.0, ds_abs)
     with np.errstate(all="ignore"):
-        unit = size + marker
+        unit = scale * (cc * cc + cs * cs) + offset + marker
         parts = (scale / unit, offset / unit, sc, ss, cs, cc)
         w_re, w_im = -ds_re / unit, (marker - ds_im) / unit
         log_direct = 0.5 * np.log(w_re * w_re + w_im * w_im)
@@ -344,8 +351,8 @@ def kms_twist_residual(
     ------
     DomainError
         If ``ell`` is not positive and finite, if an interval is not finite
-        (``ell`` too small for the events) or if one vanishes to roundoff
-        (a pair on the light cone, where ``G`` diverges).
+        (``ell`` too small for the events) or if one is within
+        ``_LIGHT_CONE`` of its terms' size (a pair on the light cone).
     """
     return _twist_residual_fn(pairs, ell)(shift)
 

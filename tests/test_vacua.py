@@ -293,28 +293,28 @@ class TestKmsResidual:
         assert type(value) is float
 
 
-def interval_condition(x, xp, ell):
-    """``size/|ds2|``, with ``size = S cosh^2 X + C`` the size of the interval's two terms.
+def light_cone_ratio(x, xp, ell):
+    """``|ds2|`` over the size ``ell^2 (4ab |sinh h|^2 + (a - b)^2)`` of its two terms.
 
-    Both routes get ``ds2`` to a few ``eps * size``, so ``G`` to about
-    ``eps`` times this.  Within ``_LIGHT_CONE`` of the size the interval is
-    roundoff on the light cone, where ``G`` diverges; the scan refuses such a
-    pair, and so does this reference.
+    Both routes get ``ds2`` to a few ``eps`` times that size, so
+    ``G = -log(ds2)/(4 pi)`` to about ``eps / ratio``.  At or below
+    ``_LIGHT_CONE`` the pair counts as on the light cone, where ``G``
+    diverges; the scan refuses it.
     """
     ds2 = abs(vc.rindler_interval(x, xp, ell))
-    a, b = math.exp(x.zbar / ell), math.exp(xp.zbar / ell)
-    half = (complex(x.tbar) - complex(xp.tbar)).real / (2.0 * ell)
-    size = ell * ell * (4.0 * a * b * math.cosh(half) ** 2 + (a - b) ** 2)
-    if ds2 <= vc._LIGHT_CONE * size:
-        raise DomainError("two-point function diverges on the light cone")
-    return size / ds2
+    ab = math.exp((x.zbar + xp.zbar) / ell)
+    a_minus_b = math.exp(xp.zbar / ell) * math.expm1((x.zbar - xp.zbar) / ell)
+    sinh_h = cmath.sinh((complex(x.tbar) - complex(xp.tbar)) / (2.0 * ell))
+    terms = ell * ell * (4.0 * ab * abs(sinh_h) ** 2 + a_minus_b**2)
+    return ds2 / terms if ds2 else 0.0  # a coincident pair has no terms either
 
 
 def per_shift_reference(pairs, ell, shift):
     """The twisted residual at one shift from the public scalar functions."""
     worst = 0.0
     for x, xp in pairs:
-        interval_condition(x, xp, ell)
+        if light_cone_ratio(x, xp, ell) <= vc._LIGHT_CONE:
+            raise DomainError("two-point function diverges on the light cone")
         ds_direct = vc.rindler_interval(x, xp, ell)
         x_shifted = EventRindler(complex(x.tbar) + 1j * shift, x.zbar)
         ds_twisted = vc.rindler_interval(xp, x_shifted, ell)
@@ -323,6 +323,13 @@ def per_shift_reference(pairs, ell, shift):
         g_twisted = vc.two_point_minkowski_invariant(ds_twisted, marker)
         worst = max(worst, abs(g_direct - g_twisted))
     return worst
+
+
+def pair_at_ratio(ratio, ell=1.0):
+    """A pair ``(0, 0), (1, 1 + delta)`` with ``light_cone_ratio`` about ``ratio``."""
+    x, probe = EventRindler(0.0, 0.0), 1e-6
+    slope = light_cone_ratio(x, EventRindler(1.0, 1.0 + probe), ell) / probe
+    return x, EventRindler(1.0, 1.0 + ratio / slope)
 
 
 class TestTwistResidualArray:
@@ -334,18 +341,23 @@ class TestTwistResidualArray:
     )
     def test_matches_per_shift_reference(self, pairs, ell, periods):
         shifts = 2.0 * math.pi * ell * np.array(periods)
+        ratio = min(light_cone_ratio(x, xp, ell) for x, xp in pairs)
+        if vc._LIGHT_CONE / 2 < ratio < 2 * vc._LIGHT_CONE:
+            # within roundoff of the light-cone bound either route may refuse
+            # the pair; test_light_cone_bound_is_shared pins both sides of it
+            return
         try:
             want = [per_shift_reference(pairs, ell, float(sh)) for sh in shifts]
         except DomainError:
-            # a vanishing interval: the array route must refuse it too
+            # a pair on the light cone: the array route must refuse it too
             with pytest.raises(DomainError):
                 vc.kms_twist_residual(pairs, ell, shifts)
             return
         got = vc.kms_twist_residual(pairs, ell, shifts)
         assert got.shape == shifts.shape
-        # near the light cone G is only known to about eps * size/|ds2|
-        cond = max(interval_condition(x, xp, ell) for x, xp in pairs)
-        atol = 1e-13 + 4 * sys.float_info.epsilon * cond
+        # G carries roundoff of about eps / ratio on both routes (measured at
+        # most 0.25 of that); outside the bound's band this is at most 2**-23
+        atol = 1e-13 + sys.float_info.epsilon / ratio
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         assert vc.kms_twist_residual(pairs, ell, float(shifts[0])) == got[0]
 
@@ -359,13 +371,24 @@ class TestTwistResidualArray:
         with pytest.raises(DomainError):
             per_shift_reference(pairs, ell, 2.0 * math.pi * ell)
 
-    def test_near_light_cone_pair_within_its_condition(self):
-        # 6e-8 off the light cone: G carries roundoff of about eps * size/|ds2|
-        pairs = [(EventRindler(0.0, 0.0), EventRindler(1.0, 1.0000000596046448))]
-        got = vc.kms_twist_residual(pairs, 1.0, np.array([0.0, 2.0 * math.pi]))
-        cond = interval_condition(*pairs[0], 1.0)
-        assert cond > 1e6
-        assert np.all(got <= 4 * sys.float_info.epsilon * cond)
+    @pytest.mark.parametrize("factor", [0.25, 4.0, 64.0])
+    def test_light_cone_bound_is_shared(self, factor):
+        # a pair inside or outside the bound: both routes refuse it inside,
+        # and agree to its roundoff outside; at 64 times the bound (6e-8) the
+        # property found the routes 6.5e-11 apart at shift 0, beyond 1e-13
+        x, xp = pair_at_ratio(factor * vc._LIGHT_CONE)
+        ratio = light_cone_ratio(x, xp, 1.0)
+        assert factor / 2 < ratio / vc._LIGHT_CONE < 2 * factor
+        pairs, shifts = [(x, xp)], 2.0 * math.pi * np.array([0.0, 0.5, 1.0])
+        if factor < 1:
+            with pytest.raises(DomainError, match="coincidence"):
+                vc.kms_twist_residual(pairs, 1.0, shifts)
+            with pytest.raises(DomainError):
+                per_shift_reference(pairs, 1.0, 0.0)
+            return
+        want = [per_shift_reference(pairs, 1.0, float(sh)) for sh in shifts]
+        got = vc.kms_twist_residual(pairs, 1.0, shifts)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=sys.float_info.epsilon / ratio)
 
     def test_complex_times_match_reference(self):
         pairs = [
