@@ -44,7 +44,3 @@ class ResolutionError(WindowError):
 
 class ConfigError(RindlerLabError, ValueError):
     """A run configuration file or flag set is invalid."""
-
-
-class CheckFailure(RindlerLabError):
-    """A named verification check did not pass."""

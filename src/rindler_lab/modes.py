@@ -319,7 +319,8 @@ class SurfaceSampling:
     samples : int
         Number of sample points, >= 16.
     window : float
-        Half-width of the uniform parameter range.
+        Half-width of the uniform parameter range; on a ``NullULine`` at
+        most about 709, so that ``exp(window)`` is finite.
     taper : str
         ``"gaussian"`` (sigma = window/5) or ``"none"``.
     """
@@ -334,6 +335,14 @@ class SurfaceSampling:
             raise DomainError("need at least 16 samples")
         if not (self.window > 0 and math.isfinite(self.window)):
             raise DomainError("window must be positive and finite")
+        if isinstance(self.surface, NullULine):
+            try:
+                math.exp(self.window)
+            except OverflowError:
+                raise DomainError(
+                    f"NullULine window {self.window!r} overflows u = exp(window); "
+                    "it must be at most about 709"
+                ) from None
         if self.taper not in ("gaussian", "none"):
             raise DomainError("taper must be 'gaussian' or 'none'")
 

@@ -18,6 +18,17 @@ array of ``s`` at one ``x`` the same way, so the closed static-atom and
 free-fall sweeps in ``12 < 2 omega z0 <= 30`` are one quadrature each;
 shared panels can move the last bits against single-point calls.
 
+The closed sweeps' other hot loops, the Kummer series of the incomplete
+gamma and the Lanczos sum of ``log_gamma_complex``, run as array kernels
+over batches of at least ``_BATCH_MIN`` (128) entries; shorter batches
+loop over the scalar routes, which cost less there.  The kernels replay
+CPython's complex arithmetic on float arrays, operation for operation:
+products as ``_Py_c_prod``, quotients by Smith's method as
+``_Py_c_quot`` (R. L. Smith, CACM 5(8), 1962), moduli by ``hypot``, and
+each series entry stops at the term where its scalar loop stops.  Every
+``cmath`` call stays a per-entry call, since numpy's ``exp`` and ``log``
+round differently.  So every entry has the bytes of a single-point call.
+
 Conventions
 -----------
 * Principal branch of the complex logarithm everywhere.  Powers of negative
@@ -73,6 +84,11 @@ LARGE_X_SWITCH = 30.0
 # Kummer series is exact but loses ~exp(|x|)*eps to cancellation off the
 # positive real axis; hand off to ray quadrature before that bites.
 _SERIES_SWITCH = 12.0
+
+# Batches at least this long run the Kummer series and the Lanczos sum as
+# array kernels; shorter ones loop over the scalar routes, which cost less
+# there (numpy's per-call overhead).  Both give the same bytes.
+_BATCH_MIN = 128
 
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_COEF = (
@@ -187,6 +203,35 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
+def _entries(name: str, v: complex | np.ndarray) -> list[complex]:
+    # the entries of a scalar or 1-D argument, each checked finite
+    if np.ndim(v) > 1:
+        raise DomainError(f"{name} must be a scalar or a 1-D array")
+    return [_require_finite(name, vi) for vi in np.ravel(v)]
+
+
+def _c_prod(ar, ai, br, bi):
+    # CPython's _Py_c_prod, elementwise on real and imaginary parts
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi):
+    # CPython's _Py_c_quot: Smith's division, scaled by the larger part of b
+    # and divided by denom (numpy's complex / multiplies by 1/denom instead)
+    big = np.abs(br) >= np.abs(bi)
+    num, den = np.where(big, bi, br), np.where(big, br, bi)
+    ratio = num / den
+    denom = den + num * ratio
+    real = (np.where(big, ar, ai) + np.where(big, ai, ar) * ratio) / denom
+    return real, np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+
+
+def _joined(re: np.ndarray, im: np.ndarray) -> list[complex]:
+    z = re.astype(complex)
+    z.imag = im
+    return z.tolist()
+
+
 def _lanczos_log_gamma_right(z: complex) -> complex:
     # valid for Re(z) >= 0.5
     w = z - 1.0
@@ -197,36 +242,91 @@ def _lanczos_log_gamma_right(z: complex) -> complex:
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def log_gamma_complex(z: complex) -> complex:
+@np.errstate(all="ignore")
+def _lanczos_log_gamma_right_array(zr: np.ndarray, zi: np.ndarray):
+    # _lanczos_log_gamma_right on real and imaginary parts, operation for
+    # operation, with the two cmath.log calls per entry
+    wr, wi = zr - 1.0, zi - 0.0
+    acc_r, acc_i = np.full(zr.shape, _LANCZOS_COEF[0]), np.zeros(zr.shape)
+    for k in range(1, len(_LANCZOS_COEF)):
+        qr, qi = _c_quot(_LANCZOS_COEF[k], 0.0, wr + k, wi + 0.0)
+        acc_r, acc_i = acc_r + qr, acc_i + qi
+    tr, ti = wr + _LANCZOS_G + 0.5, wi + 0.0 + 0.0
+    log_t = np.array([cmath.log(t) for t in _joined(tr, ti)])
+    log_acc = np.array([cmath.log(a) for a in _joined(acc_r, acc_i)])
+    hr, hi = _c_prod(wr + 0.5, wi + 0.0, log_t.real, log_t.imag)
+    return _LOG_SQRT_TWO_PI + hr - tr + log_acc.real, 0.0 + hi - ti + log_acc.imag
+
+
+def _log_sin_pi(z: complex) -> complex:
+    # log sin(pi z); where sin overflows (|Im z| above about 226), the log of
+    # its dominant exponential, sin(pi z) ~ (i s/2) exp(-i s pi z), s = sign(Im z)
+    try:
+        return cmath.log(cmath.sin(math.pi * z))
+    except OverflowError:
+        s = math.copysign(1.0, z.imag)
+        return -math.log(2.0) + 1j * s * math.pi / 2.0 - 1j * s * math.pi * z
+
+
+def _log_gamma(z: complex) -> complex:
+    if z.real >= 0.5:
+        return _lanczos_log_gamma_right(z)
+    # reflection; sin(pi z) is nonzero because the pole case was excluded
+    return math.log(math.pi) - _log_sin_pi(z) - _lanczos_log_gamma_right(1.0 - z)
+
+
+def _log_gammas(zs: list[complex]) -> list[complex]:
+    # _log_gamma of validated entries; long batches take the array kernel
+    if len(zs) < _BATCH_MIN:
+        return [_log_gamma(z) for z in zs]
+    z = np.array(zs)
+    reflect = z.real < 0.5
+    ur, ui = _lanczos_log_gamma_right_array(
+        np.where(reflect, 1.0 - z.real, z.real), np.where(reflect, 0.0 - z.imag, z.imag)
+    )
+    log_sin = np.array([_log_sin_pi(zi) for zi in z[reflect].tolist()], dtype=complex)
+    ur[reflect] = math.log(math.pi) - log_sin.real - ur[reflect]
+    ui[reflect] = 0.0 - log_sin.imag - ui[reflect]
+    return _joined(ur, ui)
+
+
+def log_gamma_complex(z: complex | np.ndarray) -> complex | np.ndarray:
     """Log of the gamma function for complex argument, principal branch.
 
     Lanczos approximation (g = 607/128, 15 terms) on the right half plane,
     reflected through ``Gamma(z) Gamma(1-z) = pi / sin(pi z)`` for
     ``Re(z) < 1/2``.  ``exp(log_gamma_complex(z))`` reproduces ``Gamma(z)``
     to close to machine precision; the imaginary part may differ from the
-    analytically continued log-gamma by a multiple of ``2*pi``.
+    analytically continued log-gamma by a multiple of ``2*pi``.  Where
+    ``sin(pi z)`` overflows, for ``|Im z|`` above about 226, the reflection
+    takes ``log sin(pi z)`` from its dominant exponential.
+
+    ``z`` may be a 1-D array (a scalar gives a plain ``complex``).  Batches
+    of at least ``_BATCH_MIN`` entries run the Lanczos sum as one array
+    kernel that replays the scalar route's complex arithmetic, so every
+    entry has the bytes of a single-point call.
 
     Raises
     ------
     PoleError
-        If ``z`` is a non-positive real integer.
+        If ``z`` (any entry of it) is a non-positive real integer.
     """
-    z = _require_finite("z", z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma function pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma_right(z)
-    # reflection; sin(pi z) is nonzero because the pole case was excluded
-    return (
-        math.log(math.pi)
-        - cmath.log(cmath.sin(math.pi * z))
-        - _lanczos_log_gamma_right(1.0 - z)
-    )
+    zs = _entries("z", z)
+    for zi in zs:
+        if _is_nonpositive_integer(zi):
+            raise PoleError(f"gamma function pole at z = {zi.real:g}")
+    values = _log_gammas(zs)
+    return values[0] if np.ndim(z) == 0 else np.array(values, dtype=complex)
 
 
-def gamma_complex(z: complex) -> complex:
-    """Gamma function for complex argument, via :func:`log_gamma_complex`."""
-    return cmath.exp(log_gamma_complex(z))
+def gamma_complex(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Gamma function for complex argument, via :func:`log_gamma_complex`.
+
+    A 1-D array of ``z`` gives an array, entry by entry.
+    """
+    if np.ndim(z) == 0:
+        return cmath.exp(log_gamma_complex(z))
+    return np.array([cmath.exp(v) for v in log_gamma_complex(z).tolist()], dtype=complex)
 
 
 def gamma_abs_sq_imag(x: float) -> float:
@@ -255,6 +355,34 @@ def _lower_gamma_series(s: complex, x: complex, max_terms: int = 600) -> complex
     raise ConvergenceError(
         f"incomplete-gamma series did not converge for s={s!r}, x={x!r}"
     )
+
+
+def _lower_gamma_series_array(ss: list[complex], x: complex, max_terms: int = 600) -> list[complex]:
+    # _lower_gamma_series over entries with Re(s) >= 1e-290, replayed on real
+    # and imaginary parts: every term is below e^12 / Re(s), so nothing
+    # overflows, and each entry leaves the loop at its own k
+    s = np.array(ss)
+    sr, si = s.real, s.imag
+    tr, ti = _c_quot(1.0, 0.0, sr, si)
+    total_r, total_i = tr, ti
+    sums = np.zeros(len(ss), dtype=complex)
+    live = np.arange(len(ss))
+    for k in range(1, max_terms):
+        tr, ti = _c_prod(tr, ti, *_c_quot(x.real, x.imag, sr + k, si + 0.0))
+        total_r, total_i = total_r + tr, total_i + ti
+        stop = np.hypot(tr, ti) <= 1e-17 * np.hypot(total_r, total_i)
+        if stop.any():
+            sums.real[live[stop]], sums.imag[live[stop]] = total_r[stop], total_i[stop]
+            keep = ~stop
+            live, sr, si, tr, ti, total_r, total_i = (
+                a[keep] for a in (live, sr, si, tr, ti, total_r, total_i)
+            )
+            if not live.size:
+                break
+    if live.size:  # the scalar loop raises the error, in entry order
+        return [_lower_gamma_series(s, x) for s in ss]
+    log_x = cmath.log(x)
+    return [cmath.exp(s * log_x - x) * total for s, total in zip(ss, sums.tolist())]
 
 
 def _lower_gamma_ray_quad(ss: list[complex], x: complex, cfg: QuadratureConfig) -> list[complex]:
@@ -293,8 +421,10 @@ def lower_incomplete_gamma(
     series loses digits to cancellation).
 
     ``s`` may be a 1-D array at one ``x`` (a scalar ``s`` gives a plain
-    ``complex``).  The series, limit and continued-fraction branches treat
-    each entry exactly as a scalar call; the ray quadrature integrates the
+    ``complex``).  The series, limit and continued-fraction branches give
+    each entry the bytes of a scalar call; from ``_BATCH_MIN`` (128)
+    entries the series and the limit's Lanczos sum run as array kernels
+    that replay the scalar arithmetic.  The ray quadrature integrates the
     array as one batch on shared panels, whose values can differ in the
     last bits from single-entry calls.  The closed static-atom and
     free-fall sweeps make one such call, with ``DEFAULT_QUAD_CONFIG``.
@@ -323,9 +453,7 @@ def lower_incomplete_gamma(
         If no representation converges within budget (large arguments in
         the left sectors, where nothing in this package needs the value).
     """
-    if np.ndim(s) > 1:
-        raise DomainError("s must be a scalar or a 1-D array")
-    ss = [_require_finite("s", si) for si in np.ravel(s)]
+    ss = _entries("s", s)
     x = _require_finite("x", x)
     for si in ss:
         if _is_nonpositive_integer(si):
@@ -340,12 +468,14 @@ def _lower_gamma(ss: list[complex], x: complex, cfg: QuadratureConfig) -> list[c
         return [0.0 + 0.0j for _ in ss]
     r = abs(x)
     if r <= _SERIES_SWITCH:
+        if len(ss) >= _BATCH_MIN and min(s.real for s in ss) >= 1e-290:
+            return _lower_gamma_series_array(ss, x)
         return [_lower_gamma_series(s, x) for s in ss]
     if r <= LARGE_X_SWITCH:
         return _lower_gamma_ray_quad(ss, x, cfg)
     if abs(x.imag) >= abs(x.real):
         # regularized limit: oscillatory boundary term dropped
-        return [gamma_complex(s) for s in ss]
+        return [cmath.exp(v) for v in _log_gammas(ss)]
     if x.real > 0.0:
         return [gamma_complex(s) - upper_incomplete_gamma(s, x) for s in ss]
     raise ConvergenceError(

@@ -323,9 +323,14 @@ def w_omega(
     if method is Method.QUADRATURE:
         w, _ = _w_omega_quad(np.array([omega_mode]), omega_atom, ell, rotation, cfg)
         return complex(w[0])
-    om = omega_mode
+    gamma = numerics.gamma_complex(complex(0.0, rotation * omega_mode))
+    return _w_omega_closed(omega_mode, omega_atom, ell, rotation, gamma)
+
+
+def _w_omega_closed(om: float, omega_atom: float, ell: float, rotation: int, gamma: complex):
+    # w_omega's closed form, given gamma = Gamma(i rotation om)
     phase = cmath.exp(-1j * rotation * om * math.log(omega_atom * ell))
-    core = cmath.exp(-math.pi * om / 2.0) * numerics.gamma_complex(complex(0.0, rotation * om))
+    core = cmath.exp(-math.pi * om / 2.0) * gamma
     return rotation * 1j * om * phase * core
 
 
@@ -376,8 +381,14 @@ def accel_mirror_mode_probability(
 
 
 def _mirror_closed(params: DimensionlessParams, modes: list[float]):
-    # family-3 amplitude per mode frequency
-    amps = [mirror_family_amplitudes(om, params)[3] for om in modes]
+    # family-3 amplitude per mode frequency, with one gamma_complex call
+    # over the grid
+    omega_atom, g = params.omega_atom / params.ell, params.coupling_g
+    gammas = numerics.gamma_complex(np.array([complex(0.0, om) for om in modes]))
+    amps = [
+        g / math.sqrt(4.0 * math.pi * om) * _w_omega_closed(om, omega_atom, params.ell, +1, gamma)
+        for om, gamma in zip(modes, gammas.tolist())
+    ]
     return [abs(amp) ** 2 for amp in amps], amps
 
 
@@ -549,8 +560,12 @@ def spectrum_sweep(
     values can differ in the last bits from single-point calls.  So can
     the closed static-atom and free-fall values for
     ``12 < 2 omega z0 <= 30``, where the incomplete gamma is itself one
-    batched quadrature over the grid.  Sweeps always run with
-    ``DEFAULT_QUAD_CONFIG``: no ``QuadratureConfig`` can be passed in.
+    batched quadrature over the grid.  Every other closed value has the
+    bytes of a single-point call: grids of at least 128 points run the
+    incomplete gamma's series and the Lanczos sums of ``Gamma`` as array
+    kernels that replay the scalar arithmetic (see :mod:`numerics`).
+    Sweeps always run with ``DEFAULT_QUAD_CONFIG``: no ``QuadratureConfig``
+    can be passed in.
     ``max_workers`` is accepted for compatibility and ignored: the batch
     leaves no per-point work to split between threads.
     """

@@ -85,11 +85,10 @@ class BogoliubovPair:
 
 
 class TwoPointSample(NamedTuple):
-    """Two accelerated-chart events (complex time allowed) and a value slot."""
+    """Two accelerated-chart events (complex time allowed)."""
 
     x: EventRindler
     xp: EventRindler
-    value: complex = 0.0
 
 
 class KmsScanResult(NamedTuple):
@@ -106,7 +105,12 @@ def bogoliubov_closed(omega: float, convention: str = "standard") -> BogoliubovP
         raise DomainError("omega must be positive and finite")
     if convention not in _CONVENTIONS:
         raise DomainError(f"convention must be one of {_CONVENTIONS}")
-    denom = math.sqrt(2.0 * math.sinh(math.pi * omega))
+    try:
+        denom = math.sqrt(2.0 * math.sinh(math.pi * omega))
+    except OverflowError:
+        denom = math.inf
+    if math.isinf(denom):
+        raise DomainError(f"Bogoliubov weights overflow at omega = {omega:g} (above about 226)")
     beta = math.exp(-math.pi * omega / 2.0) / denom
     if convention == "standard":
         alpha = math.exp(+math.pi * omega / 2.0) / denom

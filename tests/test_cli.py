@@ -146,6 +146,19 @@ class TestSpectrumCommand:
         message = f"error: {scenario} probability overflows to inf at frequency 1e-300"
         assert message in result.output
 
+    def test_mirror_above_the_sine_overflow_exits_0(self, runner):
+        # Gamma(i Omega) reflects through sin(pi i Omega), which overflows
+        # for Omega above about 226
+        result = invoke(
+            runner, "spectrum", "--scenario", "accel-mirror-static-atom", "--grid", "100:400:4"
+        )
+        assert result.exit_code == 0
+        rows = [ln.split(",") for ln in result.output.splitlines() if ln[:1].isdigit()]
+        assert [float(r[0]) for r in rows] == [100.0, 200.0, 300.0, 400.0]
+        # (g^2/2) / (e^{2 pi Omega} - 1); the others underflow to 0
+        assert float(rows[0][1]) == pytest.approx(0.5 * math.exp(-200.0 * math.pi), rel=1e-12)
+        assert [float(r[1]) for r in rows[1:]] == [0.0, 0.0, 0.0]
+
     def test_quadrature_budget_exhaustion_is_numeric_error(self, runner):
         # the finite ray X = 2e4 needs far more than the panel budget
         result = invoke(
@@ -237,6 +250,11 @@ class TestBogoliubovCommand:
         result = invoke(runner, "bogoliubov", "--grid", "0.5:2:4", "--format", "json")
         obj = json.loads(result.output)
         assert len(obj["records"]) == 4
+
+    def test_overflowing_weights_exit_3(self, runner):
+        result = invoke(runner, "bogoliubov", "--grid", "100:400:4")
+        assert result.exit_code == cli.EXIT_DOMAIN_ERROR
+        assert "error: Bogoliubov weights overflow at omega = 300" in result.output
 
 
 class TestKmsCheckCommand:

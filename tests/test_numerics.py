@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rindler_lab import numerics as nm
 from rindler_lab.errors import (
@@ -69,6 +70,24 @@ class TestLogGamma:
         for x in np.geomspace(1e-3, 30.0, 50):
             val = math.exp(2.0 * nm.log_gamma_complex(1j * x).real)
             assert val * x * math.sinh(math.pi * x) / math.pi == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [300j, 0.2 + 300j, -3.3 - 1000j, 1e4j])
+    def test_reflection_where_sin_overflows(self, z):
+        # sin(pi z) overflows for |Im z| above about 226; the reflection then
+        # takes log sin(pi z) from its dominant exponential
+        with pytest.raises(OverflowError):
+            cmath.sin(math.pi * z)
+        want = mp.loggamma(mp.mpc(z))
+        for got in (nm.log_gamma_complex(z), nm.log_gamma_complex(np.full(nm._BATCH_MIN, z))[-1]):
+            assert relerr(got.real, float(want.real)) < 1e-15
+            turns = (got.imag - want.imag) / (2 * mp.pi)
+            assert abs(float(turns - mp.nint(turns))) * 2 * math.pi < 1e-10
+
+    def test_reflection_keeps_the_sine_below_its_overflow(self):
+        # the largest |Im z| at which cmath.sin is finite keeps the plain route
+        z = 225.9j
+        expected = math.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - nm.log_gamma_complex(1.0 - z)
+        assert nm.log_gamma_complex(z) == expected
 
 
 class TestGammaAbsSqImag:
@@ -249,6 +268,98 @@ class TestLowerIncompleteGammaArray:
         assert nm.lower_incomplete_gamma(np.array([], dtype=complex), -20j).shape == (0,)
         with pytest.raises(DomainError):
             nm.lower_incomplete_gamma(np.ones((2, 2), dtype=complex), -20j)
+
+
+def _long_batches(real, imag):
+    """Complex arrays of at least ``_BATCH_MIN`` entries, so the array kernels run."""
+
+    @st.composite
+    def batches(draw):
+        n = draw(st.integers(nm._BATCH_MIN, 2 * nm._BATCH_MIN))
+        z = draw(arrays(float, n, elements=real, fill=st.nothing())).astype(complex)
+        z.imag = draw(arrays(float, n, elements=imag, fill=st.nothing()))
+        return z
+
+    return batches()
+
+
+def _entrywise(fn, batch, *args):
+    return np.array([fn(v, *args) for v in batch.tolist()], dtype=complex)
+
+
+_SERIES_X = st.one_of(
+    st.builds(lambda r: complex(0.0, r), st.floats(1e-3, 12.0)),
+    st.builds(lambda r: complex(0.0, -r), st.floats(1e-3, 12.0)),
+    st.builds(lambda r: complex(r, 0.0), st.floats(1e-3, 12.0)),
+    st.builds(cmath.rect, st.floats(1e-3, 11.99), st.floats(-math.pi / 2, 0.0)),
+)
+
+
+class TestArrayKernels:
+    """Long batches take array kernels that must give the scalar routes' bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=_long_batches(st.floats(0.5, 2.0), st.floats(-60.0, 60.0)), x=_SERIES_X)
+    def test_series_kernel_is_bitwise_the_scalar_series(self, s, x):
+        assert abs(x) <= nm._SERIES_SWITCH
+        got = nm.lower_incomplete_gamma(s, x)
+        assert got.tobytes() == _entrywise(nm.lower_incomplete_gamma, s, x).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=_long_batches(st.floats(-4.0, 5.0), st.floats(-400.0, 400.0)))
+    # entries on both sides of Re z = 1/2, and on it
+    @example(z=np.linspace(0.5 - 1e-9, 0.5 + 1e-9, nm._BATCH_MIN) + 3j)
+    def test_lanczos_kernel_is_bitwise_the_scalar_log_gamma(self, z):
+        z[(z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))] += 0.5
+        got = nm.log_gamma_complex(z)
+        assert got.tobytes() == _entrywise(nm.log_gamma_complex, z).tobytes()
+        finite = z[got.real < 700.0]
+        assert nm.gamma_complex(finite).tobytes() == _entrywise(nm.gamma_complex, finite).tobytes()
+
+    def test_regularized_limit_is_bitwise_gamma(self):
+        s = 1.0 + 1j * np.linspace(-60.0, 60.0, 2 * nm._BATCH_MIN)
+        for x in (-50j, 200j, 40 + 45j):
+            got = nm.lower_incomplete_gamma(s, x)
+            assert got.tobytes() == _entrywise(nm.gamma_complex, s).tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [0j, complex(0.0, -0.0), complex(5.0, 0.0), complex(5.0, -0.0), complex(-0.0, -3.0)]
+    )
+    def test_signed_zeros(self, x):
+        a = np.linspace(0.5, 2.0, nm._BATCH_MIN)
+        s = np.concatenate([a.astype(complex), a + 0.5j])
+        s.imag[: nm._BATCH_MIN] = -0.0
+        got = nm.lower_incomplete_gamma(s, x)
+        assert got.tobytes() == _entrywise(nm.lower_incomplete_gamma, s, x).tobytes()
+        z = np.concatenate([s, 0.3 - s])
+        assert nm.log_gamma_complex(z).tobytes() == _entrywise(nm.log_gamma_complex, z).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, complex(math.nan, 1.0), complex(1.0, -math.inf)])
+    @pytest.mark.parametrize("at", [0, nm._BATCH_MIN, 2 * nm._BATCH_MIN])
+    def test_bad_entry_in_a_long_batch_raises_as_a_scalar_call(self, bad, at):
+        good = list(1.0 + 1j * np.linspace(0.1, 5.0, 2 * nm._BATCH_MIN))
+        batch = np.array(good[:at] + [bad] + good[at:])
+        calls = [
+            lambda v: nm.lower_incomplete_gamma(v, -4j),
+            lambda v: nm.lower_incomplete_gamma(v, -40j),
+            nm.log_gamma_complex,
+            nm.gamma_complex,
+        ]
+        for call in calls:
+            with pytest.raises((PoleError, DomainError)) as scalar:
+                call(bad)
+            with pytest.raises(type(scalar.value)) as batched:
+                call(batch)
+            assert str(batched.value) == str(scalar.value)
+
+    def test_short_and_scalar_shapes(self):
+        z = np.array([1 + 1j, 0.2 - 3j])
+        assert type(nm.log_gamma_complex(1 + 1j)) is complex
+        assert type(nm.gamma_complex(1 + 1j)) is complex
+        assert nm.log_gamma_complex(z).tolist() == [nm.log_gamma_complex(v) for v in z.tolist()]
+        assert nm.gamma_complex(np.array([], dtype=complex)).shape == (0,)
+        with pytest.raises(DomainError):
+            nm.log_gamma_complex(np.ones((2, 2), dtype=complex))
 
 
 class TestUpperIncompleteGamma:

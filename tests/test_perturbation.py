@@ -255,6 +255,17 @@ class TestFreeFall:
         assert max(r.error_estimate for r in records) < 1e-9
 
 
+# each scenario's public one-point call, where it returns a record
+_SINGLE_POINT = {
+    pt.Scenario.ACCEL_ATOM: lambda p, f: pt.accel_atom_probability(replace(p, omega_atom=f)),
+    pt.Scenario.STATIC_ATOM_RINDLER_VAC: lambda p, f: pt.static_atom_rindler_probability(
+        replace(p, nu_field=f)
+    ),
+    pt.Scenario.ACCEL_MIRROR_STATIC_ATOM: lambda p, f: pt.accel_mirror_mode_probability(f, p),
+    pt.Scenario.FREEFALL_BH: lambda p, f: pt.freefall_bh_probability(replace(p, nu_field=f)),
+}
+
+
 class TestSpectrumSweep:
     def test_accel_atom_fit_recovers_unruh_temperature(self):
         spec = pt.ScenarioSpec(pt.Scenario.ACCEL_ATOM, params(ell=1.0))
@@ -353,6 +364,32 @@ class TestSpectrumSweep:
         for nu, rec in zip(grid, records):
             single = pt.static_atom_rindler_probability(replace(p, nu_field=nu))
             assert rec.probability == pytest.approx(single.probability, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "scenario, p",
+        [
+            (pt.Scenario.ACCEL_ATOM, params()),
+            # 2 omega z0 = 10, the series branch, and 100, the regularized limit
+            (pt.Scenario.STATIC_ATOM_RINDLER_VAC, params(z0=5.0)),
+            (pt.Scenario.STATIC_ATOM_RINDLER_VAC, params(z0=50.0)),
+            (pt.Scenario.ACCEL_ATOM_MIRROR, params()),
+            (pt.Scenario.ACCEL_MIRROR_STATIC_ATOM, params(coupling_g=0.8)),
+            # 2 omega z0 = 10 and 200
+            (pt.Scenario.FREEFALL_BH, params(omega_atom=50.0, rg=1.0, v0=0.1)),
+            (pt.Scenario.FREEFALL_BH, params(omega_atom=1000.0, rg=1.0, v0=0.1)),
+        ],
+    )
+    def test_long_closed_sweep_is_bitwise_single_points(self, scenario, p):
+        # 2,500 points take the array kernels; one point takes the scalar routes
+        spec = pt.ScenarioSpec(scenario, p)
+        grid = np.geomspace(0.05, 5.0, 2500)
+        assert len(grid) >= numerics._BATCH_MIN
+        records = pt.spectrum_sweep(spec, grid).records
+        single = _SINGLE_POINT.get(scenario)
+        for f, rec in zip(grid.tolist(), records):
+            assert repr(rec) == repr(pt.spectrum_sweep(spec, [f]).records[0])
+            if single is not None:
+                assert repr(rec) == repr(single(p, f))
 
     @pytest.mark.parametrize("scenario", [pt.Scenario.ACCEL_ATOM, pt.Scenario.ACCEL_ATOM_MIRROR])
     def test_small_frequency_overflow_is_named(self, scenario):

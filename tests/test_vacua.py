@@ -56,6 +56,15 @@ class TestBogoliubovClosed:
         with pytest.raises(DomainError):
             vc.bogoliubov_closed(1.0, "folklore")
 
+    @pytest.mark.parametrize("om", [226.0, 300.0, 1e4])
+    def test_overflowing_weights_are_a_domain_error(self, om):
+        # 2 sinh(pi omega) overflows from omega = 225.93; below it the pair stands
+        assert abs(vc.bogoliubov_closed(225.9).alpha) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(DomainError, match=f"overflow at omega = {om:g}"):
+            vc.bogoliubov_closed(om)
+        with pytest.raises(DomainError, match=f"overflow at omega = {om:g}"):
+            vc.particle_number_foreign_vacuum(om)
+
 
 class TestParticleNumber:
     def test_standard_value(self):
@@ -129,6 +138,16 @@ class TestNumericOverlaps:
         vc.alpha_numeric(1.0, 1.0)
         vc.beta_numeric(1.0, 1.0)
         assert len(calls) == 2
+
+    def test_overflowing_null_line_window_is_refused_at_construction(self):
+        # u = -exp(s) overflows beyond s = 709.78; no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="NullULine window 800.0 overflows"):
+                vc.alpha_numeric(1.0, 1.0, SurfaceSampling(NullULine(-1), samples=1024, window=800.0))
+            with pytest.raises(DomainError, match="overflows"):
+                SurfaceSampling(NullULine(+1), window=710.0)
+            assert SurfaceSampling(NullULine(-1), window=709.0).window == 709.0
 
     def test_window_requirement(self):
         small = SurfaceSampling(NullULine(side=+1), samples=1024, window=1.0)
