@@ -26,7 +26,7 @@ worst = max(
 print(f"  identity residual over 50 log-spaced points: {worst:.2e}\n")
 
 print("=== 2. lower incomplete gamma on the imaginary axis ===")
-print("  small arguments are exact (series / ray quadrature):")
+print("  small arguments are exact (series / continued fraction):")
 val = nm.lower_incomplete_gamma(1.0, 2.0)
 print(f"    gamma(1, 2)        = {val.real:.10f}   (1 - e^-2 = {1 - math.exp(-2):.10f})")
 val = nm.lower_incomplete_gamma(1 + 0.5j, -10j)

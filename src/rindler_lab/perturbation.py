@@ -424,7 +424,8 @@ def accel_atom_mirror_amplitudes(omega_over_a: float) -> tuple[complex, complex]
     w = omega_over_a
     if w <= 0 or not math.isfinite(w):
         raise DomainError("omega_over_a must be positive and finite")
-    n = math.exp(-math.pi * w / 2.0) / math.sqrt(8.0 * math.pi * w * math.sinh(math.pi * w))
+    # exp(-pi w/2)/sqrt(8 pi w sinh(pi w)), with sinh's growth cancelled
+    n = math.exp(-math.pi * w) / math.sqrt(4.0 * math.pi * w * -math.expm1(-2.0 * math.pi * w))
     return complex(n), complex(-n)
 
 
@@ -557,13 +558,11 @@ def spectrum_sweep(
     Grids with fewer than 4 points skip the fit.
 
     Quadrature routes integrate the whole grid as one batch, so their
-    values can differ in the last bits from single-point calls.  So can
-    the closed static-atom and free-fall values for
-    ``12 < 2 omega z0 <= 30``, where the incomplete gamma is itself one
-    batched quadrature over the grid.  Every other closed value has the
-    bytes of a single-point call: grids of at least 128 points run the
-    incomplete gamma's series and the Lanczos sums of ``Gamma`` as array
-    kernels that replay the scalar arithmetic (see :mod:`numerics`).
+    values can differ in the last bits from single-point calls.  Every
+    closed value has the bytes of a single-point call: grids of at least
+    128 points run the incomplete gamma's series and the Lanczos sums of
+    ``Gamma`` as array kernels that replay the scalar arithmetic (see
+    :mod:`numerics`).
     Sweeps always run with ``DEFAULT_QUAD_CONFIG``: no ``QuadratureConfig``
     can be passed in.
     ``max_workers`` is accepted for compatibility and ignored: the batch

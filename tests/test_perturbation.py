@@ -226,6 +226,15 @@ class TestAtomAboveMirror:
         with pytest.raises(DomainError):
             pt.accel_atom_mirror_probability(-1.0)
 
+    def test_amplitudes_hold_the_probability_at_large_gap(self):
+        for w in np.geomspace(1e-6, 200.0, 400).tolist():
+            plus, _ = pt.accel_atom_mirror_amplitudes(w)
+            p = pt.accel_atom_mirror_probability(w)
+            assert 2.0 * abs(plus) ** 2 == pytest.approx(p, rel=1e-12, abs=0.0)
+        for w in np.geomspace(200.0, 1e4, 50).tolist():
+            plus, minus = pt.accel_atom_mirror_amplitudes(w)
+            assert math.isfinite(plus.real) and minus == -plus
+
 
 class TestFreeFall:
     def test_exact_delegation_bitwise(self):
@@ -341,7 +350,8 @@ class TestSpectrumSweep:
             (pt.Scenario.FREEFALL_BH, params(omega_atom=40.0, rg=1.0, v0=0.2)),  # X = 16
         ],
     )
-    def test_ray_band_closed_sweep_is_one_quadrature(self, monkeypatch, scenario, p):
+    def test_ray_band_closed_sweep_runs_no_quadrature(self, monkeypatch, scenario, p):
+        # the band's incomplete gamma is Gamma(s) minus a continued fraction
         calls = []
         quad = numerics.adaptive_finite_quad
 
@@ -352,18 +362,18 @@ class TestSpectrumSweep:
         monkeypatch.setattr(numerics, "adaptive_finite_quad", counted)
         grid = np.geomspace(0.1, 3.0, 30)
         records = pt.spectrum_sweep(pt.ScenarioSpec(scenario, p), grid).records
-        assert len(records) == 30 and len(calls) == 1
+        assert len(records) == 30 and calls == []
 
     def test_ray_band_sweep_reaches_nu_40(self):
-        # 2 omega z0 = 29.99, the top of the ray band; the shared panels stay
-        # within the default budget, and each point matches a 1-point sweep
+        # 2 omega z0 = 29.99, the top of the ray band; each point has the
+        # bytes of a single-point call
         p = params(omega_atom=1.0, z0=14.995)
         spec = pt.ScenarioSpec(pt.Scenario.STATIC_ATOM_RINDLER_VAC, p)
         grid = np.geomspace(0.1, 40.0, 30)
         records = pt.spectrum_sweep(spec, grid).records
         for nu, rec in zip(grid, records):
             single = pt.static_atom_rindler_probability(replace(p, nu_field=nu))
-            assert rec.probability == pytest.approx(single.probability, rel=1e-9)
+            assert rec.probability == single.probability
 
     @pytest.mark.parametrize(
         "scenario, p",
