@@ -146,6 +146,8 @@ class TestLowerIncompleteGamma:
             (1 + 0.25j, -15j),
             (1 + 1j, 14 + 14j),
             (1 + 0.5j, -25j),
+            (1 + 1j, 25.0),
+            (1 + 0.5j, 20 + 20j),
         ],
     )
     def test_against_live_mpmath_mid_band(self, s, x):
@@ -171,14 +173,13 @@ class TestLowerIncompleteGamma:
             (1 + 0.3j, 2.0 + 0j),
             (1 + 0.3j, 5.0 + 0j),
             (1 + 1j, 10.0 + 0j),
-            (1 + 1j, 25.0 + 0j),
             (1 + 2.5j, 3 + 4j),
             (1 + 1j, 10 - 6j),
-            (1 + 0.5j, 20 + 20j),
         ],
     )
     def test_additivity_against_upper(self, s, x):
-        # gamma(s,x) + Gamma(s,x) = Gamma(s), upper computed independently (CF)
+        # gamma(s,x) + Gamma(s,x) = Gamma(s); up to |x| = 12 the lower function
+        # is the series, independent of the upper one's continued fraction
         lower = nm.lower_incomplete_gamma(s, x)
         upper = nm.upper_incomplete_gamma(s, x)
         total = nm.gamma_complex(s)
@@ -202,18 +203,40 @@ class TestLowerIncompleteGamma:
 
     @pytest.mark.parametrize(
         "s, x",
-        [(1 + 19j, 12.5j), (0.7 - 30j, 15 - 10j), (1 + 45.1j, 30j), (1 + 80j, 40 + 20j)],
+        [
+            # large Re s, where Gamma(s) - Gamma(s, x) would cancel
+            (30.0, 13.0),
+            (50.0, 13.0),
+            (30.0, 13j),
+            (50.0, 13j),
+            (50 - 20j, 13 - 13j),
+            # Im(s) Im(x) > 0 with |Im s| large against |x|
+            (1 + 19j, 12.5j),
+            (1 + 18.7j, 12.5j),
+            (0.7 - 30j, 15 - 10j),
+            (1 + 45.1j, 30j),
+            (1 + 60j, 13j),
+            (1 + 80j, 40 + 20j),
+            (1 - 40j, 28 - 10j),
+            # Re s < 0 with |Im s| >= |x|
+            (-5 + 20j, 13.0),
+            # the -i axis at any nu
+            (2 + 80j, -20j),
+            (1 + 60j, -13j),
+        ],
     )
-    def test_cancelling_sector_raises(self, s, x):
-        # Im(s) Im(x) > 0 and |Im s| > 1.5 |x|, beyond the series and the limit
-        with pytest.raises(DomainError, match="cancels"):
-            nm.lower_incomplete_gamma(s, x)
+    def test_series_where_s_is_far_from_the_negative_axis(self, s, x):
+        # beyond |x| = 12, every s at least |x| from the non-positive real
+        # axis keeps the series
+        got = nm.lower_incomplete_gamma(s, x)
+        assert got == nm._lower_gamma_series(complex(s), complex(x))
+        assert relerr(got, complex(mp.gammainc(mp.mpc(s), 0, mp.mpc(x)))) < 1e-12
 
-    @pytest.mark.parametrize("s, x", [(1 + 18.7j, 12.5j), (1 - 40j, 28 - 10j), (2 + 80j, -20j)])
-    def test_edge_of_the_cancelling_sector(self, s, x):
-        # inside the stated sector, and on the -i axis at any nu
-        want = complex(mp.gammainc(mp.mpc(s), 0, mp.mpc(x)))
-        assert relerr(nm.lower_incomplete_gamma(s, x), want) < 1e-12
+    @pytest.mark.parametrize("s, x", [(-5 + 10j, 13.0), (-30.5 + 1j, 20j), (-12.3, 15 - 5j)])
+    def test_negative_re_s_near_the_axis_takes_the_fraction(self, s, x):
+        got = nm.lower_incomplete_gamma(s, x)
+        assert got == nm.gamma_complex(s) - nm.upper_incomplete_gamma(s, x)
+        assert relerr(got, complex(mp.gammainc(mp.mpc(s), 0, mp.mpc(x)))) < 1e-12
 
     def test_deterministic(self):
         a = nm.lower_incomplete_gamma(1 + 0.7j, -19j)
@@ -229,7 +252,7 @@ class TestLowerIncompleteGammaArray:
         entries=st.lists(
             st.tuples(
                 st.floats(0.5, 2.0),
-                st.floats(0.05, 20.0, exclude_min=True, exclude_max=True),
+                st.floats(0.05, 40.0, exclude_min=True, exclude_max=True),
             ),
             min_size=1,
             max_size=6,
@@ -237,22 +260,12 @@ class TestLowerIncompleteGammaArray:
         x_abs=st.floats(0.5, 40.0),
         theta=st.sampled_from([-math.pi / 2, math.pi / 2, 0.0]),
     )
-    # the first entry beyond the stated sector raises for the whole batch
-    @example(entries=[(1.0, 18.0), (1.0, 19.0), (1.0, 19.5)], x_abs=12.5, theta=math.pi / 2)
+    # one batch that mixes the series and the fraction beyond |x| = 12
+    @example(entries=[(1.0, 12.0), (1.0, 13.0), (1.0, 19.5)], x_abs=12.5, theta=math.pi / 2)
     def test_array_matches_scalar_calls_and_mpmath(self, entries, x_abs, theta):
         x = cmath.rect(x_abs, theta)
         s = np.array([complex(re, nu) for re, nu in entries])
         band = nm._SERIES_SWITCH < abs(x) <= nm.LARGE_X_SWITCH
-        cancelling = (
-            band & (s.imag * x.imag > 0.0) & (np.abs(s.imag) > nm._CANCELLING_NU_OVER_X * abs(x))
-        )
-        if cancelling.any():
-            with pytest.raises(DomainError) as batch_error:
-                nm.lower_incomplete_gamma(s, x)
-            with pytest.raises(DomainError) as single_error:
-                nm.lower_incomplete_gamma(s[cancelling][0], x)
-            assert str(batch_error.value) == str(single_error.value)
-            s = s[~cancelling]
         batch = nm.lower_incomplete_gamma(s, x)
         assert batch.dtype == complex and batch.shape == s.shape
         for s_k, got in zip(s.tolist(), batch.tolist()):
