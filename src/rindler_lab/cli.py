@@ -12,8 +12,7 @@ are deterministic byte for byte for a fixed configuration and version.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numeric
 domain error or numeric non-convergence (such as an exhausted quadrature
-budget).  ``RINDLER_LAB_THREADS`` is still validated as an integer but
-has no effect: each sweep integrates its whole grid as one batch.
+budget).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import configparser
 import dataclasses
 import json
 import math
-import os
 import sys
+from itertools import repeat
 from typing import Callable, Optional
 
 import click
@@ -151,22 +150,6 @@ def build_params(cfg: RunConfig) -> DimensionlessParams:
         raise ConfigError(f"bad parameters: {exc}") from exc
 
 
-def thread_cap() -> Optional[int]:
-    """``RINDLER_LAB_THREADS`` as an integer >= 1, or None when unset.
-
-    Sweeps accept the value and ignore it; it is still validated so that a
-    malformed setting is reported rather than silently dropped.
-    """
-    raw = os.environ.get("RINDLER_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"RINDLER_LAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # output writers
 # ---------------------------------------------------------------------------
@@ -176,57 +159,32 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _config_comment_lines(effective: dict) -> list[str]:
-    flat = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    return [f"# config {flat}"]
+_CSV_ROW = ",".join([_FLOAT_FMT] * 4 + ["%s", _FLOAT_FMT]) + "\n"
+
+
+def _columns(spectrum: Spectrum):
+    # (freq, probability, amplitude_re, amplitude_im, method, error_estimate) per point
+    amp = spectrum.amplitude
+    floats = (c.tolist() for c in (spectrum.freq, spectrum.probability, amp.real, amp.imag))
+    return zip(*floats, repeat(spectrum.method), spectrum.error_estimate.tolist())
 
 
 def write_spectrum_csv(spectrum: Spectrum, effective: dict, stream) -> None:
-    for line in _config_comment_lines(effective):
-        stream.write(line + "\n")
+    stream.write(f"# config {json.dumps(effective, sort_keys=True, separators=(',', ':'))}\n")
     stream.write("freq,probability,amplitude_re,amplitude_im,method,error_estimate\n")
-    for rec in spectrum.records:
-        amp_re = _fmt(rec.amplitude.real) if rec.amplitude is not None else ""
-        amp_im = _fmt(rec.amplitude.imag) if rec.amplitude is not None else ""
-        stream.write(
-            ",".join(
-                (
-                    _fmt(rec.freq),
-                    _fmt(rec.probability),
-                    amp_re,
-                    amp_im,
-                    rec.method,
-                    _fmt(rec.error_estimate),
-                )
-            )
-            + "\n"
-        )
+    stream.writelines(_CSV_ROW % row for row in _columns(spectrum))
     if spectrum.fitted_temperature is not None:
         stream.write(f"# fitted_temperature {_fmt(spectrum.fitted_temperature)}\n")
         stream.write(f"# fit_residual {_fmt(spectrum.fit_residual)}\n")
 
 
-def spectrum_to_json_obj(spectrum: Spectrum, effective: dict) -> dict:
-    records = [
-        {
-            "freq": rec.freq,
-            "probability": rec.probability,
-            "amplitude_re": rec.amplitude.real if rec.amplitude is not None else None,
-            "amplitude_im": rec.amplitude.imag if rec.amplitude is not None else None,
-            "method": rec.method,
-            "error_estimate": rec.error_estimate,
-        }
-        for rec in spectrum.records
-    ]
-    fit = {
-        "fitted_temperature": spectrum.fitted_temperature,
-        "fit_residual": spectrum.fit_residual,
-    }
-    return {"meta": effective, "records": records, "fit": fit}
+_JSON_KEYS = ("freq", "probability", "amplitude_re", "amplitude_im", "method", "error_estimate")
 
 
 def write_spectrum_json(spectrum: Spectrum, effective: dict, stream) -> None:
-    json.dump(spectrum_to_json_obj(spectrum, effective), stream, sort_keys=True, indent=1)
+    records = [dict(zip(_JSON_KEYS, row)) for row in _columns(spectrum)]
+    fit = {"fitted_temperature": spectrum.fitted_temperature, "fit_residual": spectrum.fit_residual}
+    json.dump({"meta": effective, "records": records, "fit": fit}, stream, sort_keys=True, indent=1)
     stream.write("\n")
 
 
@@ -484,11 +442,10 @@ def spectrum(config_path, scenario, method, grid_token, output_path, output_form
             raise ConfigError(str(exc)) from exc
         spec = ScenarioSpec(scen, build_params(cfg), meth)
         grid_values = cfg.grid.values()
-        workers = thread_cap()
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)
     try:
-        result = perturbation.spectrum_sweep(spec, grid_values, max_workers=workers)
+        result = perturbation.spectrum_sweep(spec, grid_values)
     except (DomainError, ConvergenceError) as exc:
         _fail(exc, EXIT_DOMAIN_ERROR)
     effective = cfg.effective()

@@ -25,8 +25,8 @@ Scenarios
     scenario under ``ell = 2 rg``, ``z0 = 2 v0 rg``.
 
 Probabilities that grow with the (formally infinite) interaction time are
-reported per squared unit of it; every record satisfies
-``probability == |amplitude|**2`` when an amplitude is attached.
+reported per squared unit of it.  A :class:`Spectrum` holds one read-only
+array per output column, checked once for ``probability == |amplitude|**2``.
 
 One sign choice is deliberate: the per-mode emission factor of the
 accelerated-mirror scenario is implemented as ``1/(exp(2 pi Omega) - 1)``,
@@ -39,7 +39,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -94,40 +96,50 @@ class ScenarioSpec:
     method: Method = Method.CLOSED_FORM
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
-    """One frequency point of a scenario spectrum.
+class SpectrumRecord(NamedTuple):
+    """One frequency point of a scenario spectrum: a row of a :class:`Spectrum`.
 
-    ``probability`` equals ``|amplitude|**2`` whenever ``amplitude`` is
-    present.  ``error_estimate`` is 0 for closed forms, the quadrature
-    error bound propagated to the probability for ``Method.QUADRATURE``,
-    and the relative cross-method residual for ``Method.BOTH``.
+    ``error_estimate`` is 0 for closed forms, the quadrature error bound
+    propagated to the probability for ``Method.QUADRATURE``, and the
+    relative cross-method residual for ``Method.BOTH``.
     """
 
     freq: float
     probability: float
-    amplitude: Optional[complex]
+    amplitude: complex
     method: str
     error_estimate: float
 
-    def __post_init__(self) -> None:
-        if not (self.probability >= 0.0 and math.isfinite(self.probability)):
-            raise DomainError("probability must be finite and nonnegative")
-        if self.amplitude is not None:
-            if abs(self.probability - abs(self.amplitude) ** 2) > 1e-12 * max(
-                1.0, self.probability
-            ):
-                raise DomainError("probability must equal |amplitude|**2")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered per-frequency records plus an optional thermal fit."""
+    """A sweep's output columns plus an optional thermal fit.
 
-    records: tuple[SpectrumRecord, ...]
+    ``freq``, ``probability``, ``amplitude`` (complex) and
+    ``error_estimate`` are read-only arrays with one entry per grid point;
+    ``method`` labels the whole sweep.  Every ``probability`` is finite,
+    nonnegative and within ``1e-12 max(1, p)`` of ``|amplitude|**2``.
+    """
+
     scenario: ScenarioSpec
+    freq: np.ndarray
+    probability: np.ndarray
+    amplitude: np.ndarray
+    error_estimate: np.ndarray
+    method: str
     fitted_temperature: Optional[float] = None
     fit_residual: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for column in (self.freq, self.probability, self.amplitude, self.error_estimate):
+            column.flags.writeable = False
+
+    @property
+    def records(self) -> tuple[SpectrumRecord, ...]:
+        """The columns as rows, built on each access."""
+        amp, err = self.amplitude.tolist(), self.error_estimate.tolist()
+        columns = (self.freq.tolist(), self.probability.tolist(), amp, repeat(self.method), err)
+        return tuple(map(SpectrumRecord, *columns))
 
 
 def planck_factor(x: float) -> float:
@@ -143,11 +155,6 @@ def _modulus_sq(amp: complex) -> float:
         return abs(amp) ** 2
     except OverflowError:
         return math.inf
-
-
-def _probability_error(amp: complex, amp_error: float) -> float:
-    """Bound on the error of ``|amp|**2`` from a bound on that of ``amp``."""
-    return amp_error * (2.0 * abs(amp) + amp_error)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +177,7 @@ def accel_atom_probability(
     only as a pure phase, so the probability depends on ``omega * ell``
     alone.
     """
-    return _records(Scenario.ACCEL_ATOM, params, [params.omega_atom], method, cfg)[0]
+    return _point(Scenario.ACCEL_ATOM, params, params.omega_atom, method, cfg)
 
 
 def _accel_atom_closed(params: DimensionlessParams, gaps: list[float]):
@@ -222,7 +229,7 @@ def static_atom_rindler_probability(
     The thermal factor is a function of the field frequency here, not of
     the atom gap.
     """
-    return _records(Scenario.STATIC_ATOM_RINDLER_VAC, params, [params.nu_field], method, cfg)[0]
+    return _point(Scenario.STATIC_ATOM_RINDLER_VAC, params, params.nu_field, method, cfg)
 
 
 def _static_atom_closed(params: DimensionlessParams, nus: list[float]):
@@ -377,7 +384,7 @@ def accel_mirror_mode_probability(
     own.  Its quadrature route evaluates the overlap kernel by rotated
     quadrature.
     """
-    return _records(Scenario.ACCEL_MIRROR_STATIC_ATOM, params, [omega_mode], method)[0]
+    return _point(Scenario.ACCEL_MIRROR_STATIC_ATOM, params, omega_mode, method)
 
 
 def _mirror_closed(params: DimensionlessParams, modes: list[float]):
@@ -403,6 +410,10 @@ def _mirror_quad(params: DimensionlessParams, modes: np.ndarray, cfg: Quadrature
 # ---------------------------------------------------------------------------
 
 
+# Below this gap P = 1/(4 pi^2 w^2) passes the largest double.
+_ATOM_MIRROR_MIN_GAP = 1.0 / (2.0 * math.pi * math.sqrt(sys.float_info.max))
+
+
 def accel_atom_mirror_probability(omega_over_a: float) -> float:
     """Excitation probability per squared unit interaction time.
 
@@ -412,18 +423,24 @@ def accel_atom_mirror_probability(omega_over_a: float) -> float:
     direction, so
     ``P = 2 * exp(-pi w) / (8 pi w sinh(pi w))
        = (1/(2 pi w)) * 1/(exp(2 pi w) - 1)``.
+    Gaps below about 1.19e-155, where ``P`` overflows, raise
+    ``DomainError``.
     """
     w = omega_over_a
     if w <= 0 or not math.isfinite(w):
         raise DomainError("omega_over_a must be positive and finite")
+    if w < _ATOM_MIRROR_MIN_GAP:
+        raise DomainError(f"accel-atom-mirror probability overflows to inf at frequency {w!r}")
     return planck_factor(2.0 * math.pi * w) / (2.0 * math.pi * w)
 
 
 def accel_atom_mirror_amplitudes(omega_over_a: float) -> tuple[complex, complex]:
-    """Per-unit-time amplitudes of the two emitted modes (relative phase -1)."""
+    """Per-unit-time amplitudes of the two emitted modes (relative phase -1).
+
+    Refuses the gaps that :func:`accel_atom_mirror_probability` refuses.
+    """
     w = omega_over_a
-    if w <= 0 or not math.isfinite(w):
-        raise DomainError("omega_over_a must be positive and finite")
+    accel_atom_mirror_probability(w)
     # exp(-pi w/2)/sqrt(8 pi w sinh(pi w)), with sinh's growth cancelled
     n = math.exp(-math.pi * w) / math.sqrt(4.0 * math.pi * w * -math.expm1(-2.0 * math.pi * w))
     return complex(n), complex(-n)
@@ -458,7 +475,7 @@ def freefall_bh_probability(
 ) -> SpectrumRecord:
     """Emission probability for the infalling atom; bitwise equal to the
     static-atom scenario evaluated at the mapped parameters."""
-    return _records(Scenario.FREEFALL_BH, freefall_map(params), [params.nu_field], method, cfg)[0]
+    return _point(Scenario.FREEFALL_BH, freefall_map(params), params.nu_field, method, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +486,14 @@ def freefall_bh_probability(
 class _Routes(NamedTuple):
     """How one scenario evaluates a list of frequencies.
 
-    ``closed(params, freqs)`` gives ``(probabilities, amplitudes)``;
-    ``quad(params, grid, cfg)`` gives ``(amplitudes, their error bounds)``
-    from one batched quadrature, or is ``None`` for a closed-form-only
-    scenario; ``cross`` is what ``Method.BOTH`` checks the closed form
-    against, when not ``quad``.  ``normalizer(params, freq)`` is the
-    non-thermal prefactor that divides a probability before the Planck fit.
+    ``closed(params, freqs)`` gives ``(probabilities, amplitudes)`` lists
+    from per-point code; ``quad(params, grid, cfg)`` gives
+    ``(amplitudes, their error bounds)`` arrays from one batched
+    quadrature, or is ``None`` for a closed-form-only scenario; ``cross``
+    is what ``Method.BOTH`` checks the closed form against, when not
+    ``quad``.  ``normalizer(params, grid)`` is the non-thermal prefactor
+    that divides the probabilities before the Planck fit: ``+ - * /``
+    only, so an array gives the bytes of per-point calls.
     """
 
     closed: Callable
@@ -506,40 +525,60 @@ _SCENARIOS: dict[Scenario, _Routes] = {
 }
 
 
+def _validate(scenario: Scenario, grid: np.ndarray, probs: np.ndarray, amps: np.ndarray) -> None:
+    # name the first point whose probability is not finite and nonnegative
+    # or not |amplitude|**2 to 1e-12 max(1, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch = np.abs(probs - np.hypot(amps.real, amps.imag) ** 2)
+        good = (probs >= 0.0) & np.isfinite(probs) & (mismatch <= 1e-12 * np.maximum(1.0, probs))
+    if good.all():
+        return
+    i = int(np.argmin(good))
+    f, p = grid[i].item(), probs[i].item()
+    why = "is not |amplitude|**2"
+    if p == math.inf:
+        why = "overflows to inf"
+    elif not (p >= 0.0 and math.isfinite(p)):
+        why = f"is {p!r}, not finite and nonnegative,"
+    raise DomainError(f"{scenario.value} probability {why} at frequency {f!r}")
+
+
 def _records(
     scenario: Scenario,
     params: DimensionlessParams,
-    freqs: list[float],
+    grid: np.ndarray,
     method: Method,
     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG,
-) -> list[SpectrumRecord]:
-    """Records of ``scenario`` by ``method``; freefall takes mapped ``params``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``probability``, ``amplitude`` and ``error_estimate``
+    columns; freefall takes mapped ``params``."""
     routes = _SCENARIOS[scenario]
-    if not all(f > 0 for f in freqs):
+    if not np.all(grid > 0.0):
         raise DomainError(f"{scenario.value} frequencies must be positive")
     if method is not Method.CLOSED_FORM and routes.quad is None:
         raise DomainError(f"{scenario.value} is closed-form only; it has no {method.value!r} route")
-    grid = np.asarray(freqs)
     if method is Method.QUADRATURE:
         amps, amp_errors = routes.quad(params, grid, cfg)
-        amps = amps.tolist()
-        probs = [_modulus_sq(a) for a in amps]
-        errors = [_probability_error(a, e) for a, e in zip(amps, amp_errors.tolist())]
+        probs = np.array([_modulus_sq(a) for a in amps.tolist()])
+        # the bound on the error of |amp|**2 from a bound on that of amp
+        errors = amp_errors * (2.0 * np.hypot(amps.real, amps.imag) + amp_errors)
     else:
-        probs, amps = routes.closed(params, freqs)
-        errors = [0.0] * len(freqs)
-    for f, p in zip(freqs, probs):
-        if math.isinf(p):
-            raise DomainError(f"{scenario.value} probability overflows to inf at frequency {f!r}")
+        probs, amps = routes.closed(params, grid.tolist())
+        probs, amps = np.array(probs, dtype=float), np.array(amps, dtype=complex)
+        errors = np.zeros(len(grid))
+    _validate(scenario, grid, probs, amps)
     if method is Method.BOTH:
         independent, _ = (routes.cross or routes.quad)(params, grid, cfg)
-        errors = [
-            abs(abs(q) ** 2 - p) / max(p, 1e-300) for p, q in zip(probs, independent.tolist())
-        ]
-    return [
-        SpectrumRecord(f, p, a, method.value, e)
-        for f, p, a, e in zip(freqs, probs, amps, errors)
-    ]
+        pairs = zip(probs.tolist(), independent.tolist())
+        errors = np.array([abs(abs(q) ** 2 - p) / max(p, 1e-300) for p, q in pairs])
+    return probs, amps, errors
+
+
+def _point(scenario: Scenario, params, freq: float, method: Method, cfg=DEFAULT_QUAD_CONFIG):
+    # the record of one frequency, as a one-point sweep gives it
+    grid = np.array([freq], dtype=float)
+    probs, amps, errors = _records(scenario, params, grid, method, cfg)
+    return SpectrumRecord(grid.item(), probs.item(), amps.item(), method.value, errors.item())
 
 
 def spectrum_sweep(
@@ -549,45 +588,48 @@ def spectrum_sweep(
 ) -> Spectrum:
     """Evaluate a scenario over a frequency grid and fit its temperature.
 
-    The grid must be strictly increasing and inside the scenario's domain.
-    Each probability is divided by its scenario's non-thermal prefactor;
+    The grid must be strictly increasing, 1-D and inside the scenario's
+    domain; the result holds one read-only array per output column.  The
+    probabilities are divided by the scenario's non-thermal prefactor;
     the linearized occupancy ``log(1/P_normalized + 1)`` is then fit by
     slope-only least squares against the physical frequency
     ``freq / ell``, giving ``fitted_temperature`` as the inverse slope and
     ``fit_residual`` as the RMS relative deviation of the linearized data.
-    Grids with fewer than 4 points skip the fit.
+    Grids with fewer than 4 points, or with a normalized probability that
+    is not positive (zero coupling, underflow), skip the fit.
 
     Quadrature routes integrate the whole grid as one batch, so their
     values can differ in the last bits from single-point calls.  Every
     closed value has the bytes of a single-point call: grids of at least
     128 points run the incomplete gamma's series and the Lanczos sums of
     ``Gamma`` as array kernels that replay the scalar arithmetic (see
-    :mod:`numerics`).
+    :mod:`numerics`); the rest of each closed route is per-point code.
     Sweeps always run with ``DEFAULT_QUAD_CONFIG``: no ``QuadratureConfig``
     can be passed in.
     ``max_workers`` is accepted for compatibility and ignored: the batch
     leaves no per-point work to split between threads.
     """
-    freqs = [float(f) for f in freq_grid]
-    if not all(math.isfinite(f) for f in freqs):
+    grid = np.array(freq_grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("freq_grid must be one-dimensional")
+    if not np.all(np.isfinite(grid)):
         raise DomainError("freq_grid must be finite")
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+    if np.any(grid[1:] <= grid[:-1]):
         raise DomainError("freq_grid must be strictly increasing")
     params = freefall_map(spec.params) if spec.scenario is Scenario.FREEFALL_BH else spec.params
-    if not freqs:
-        return Spectrum((), spec, None, None)
+    if len(grid):
+        probs, amps, errors = _records(spec.scenario, params, grid, spec.method)
+    else:
+        probs, amps, errors = grid, grid.astype(complex), grid
 
-    records = tuple(_records(spec.scenario, params, freqs, spec.method))
-
-    fitted_t: Optional[float] = None
-    residual: Optional[float] = None
-    if len(records) >= 4:
-        normalizer = _SCENARIOS[spec.scenario].normalizer
-        x = np.array([r.freq / params.ell for r in records])
-        p_norm = np.array([r.probability / normalizer(params, r.freq) for r in records])
+    fitted_t = residual = None
+    if len(grid) >= 4:
+        x = grid / params.ell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_norm = probs / _SCENARIOS[spec.scenario].normalizer(params, grid)
         if np.all(p_norm > 0.0):
             y = np.log1p(1.0 / p_norm)
             slope = float(np.dot(x, y) / np.dot(x, x))
             fitted_t = 1.0 / slope
             residual = float(np.sqrt(np.mean((y - slope * x) ** 2) / np.mean(y**2)))
-    return Spectrum(records, spec, fitted_t, residual)
+    return Spectrum(spec, grid, probs, amps, errors, spec.method.value, fitted_t, residual)

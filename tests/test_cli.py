@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -7,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from rindler_lab import cli
+from rindler_lab import perturbation as pt
+from rindler_lab.spacetime import DimensionlessParams
 
 
 @pytest.fixture
@@ -92,6 +96,16 @@ class TestSpectrumCommand:
         invoke(runner, *args, "--output", str(out), env={"RINDLER_LAB_THREADS": "4"})
         assert out.read_bytes() == serial
 
+    def test_thread_env_is_not_read(self, runner, tmp_path):
+        # RINDLER_LAB_THREADS is ignored, so even a malformed value exits 0
+        out = tmp_path / "a.csv"
+        args = ("spectrum", "--scenario", "accel-atom", "--grid", "0.25:4:12")
+        invoke(runner, *args, "--output", str(out))
+        plain = out.read_bytes()
+        result = invoke(runner, *args, "--output", str(out), env={"RINDLER_LAB_THREADS": "x"})
+        assert result.exit_code == 0
+        assert out.read_bytes() == plain
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(
@@ -167,6 +181,69 @@ class TestSpectrumCommand:
         )
         assert result.exit_code == cli.EXIT_DOMAIN_ERROR
         assert "error: quadrature error" in result.output
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# the README's two spectrum grids: every scenario at default parameters,
+# and free fall also at the README's parameters
+_README_SWEEPS = [
+    (scenario, method, params, grid)
+    for scenario in pt.Scenario
+    for method in pt.Method
+    if scenario is not pt.Scenario.ACCEL_ATOM_MIRROR or method is pt.Method.CLOSED_FORM
+    for params, grid in (
+        ({}, "0.1:3:30:log"),
+        ({}, "0.25:4:12:log"),
+        *([({"rg": 1.0, "v0": 0.1, "omega_atom": 1000.0}, "0.25:4:12:log")]
+          if scenario is pt.Scenario.FREEFALL_BH else []),
+    )
+]
+
+
+class TestWriterRoundTrip:
+    """Every float written parses back to its column, bit for bit."""
+
+    @pytest.mark.parametrize("scenario, method, params, grid", _README_SWEEPS)
+    def test_csv_and_json_round_trip(self, scenario, method, params, grid):
+        spec = pt.ScenarioSpec(scenario, DimensionlessParams(**params), method)
+        result = pt.spectrum_sweep(spec, cli.parse_grid_token(grid).values())
+        columns = [
+            result.freq,
+            result.probability,
+            result.amplitude.real,
+            result.amplitude.imag,
+            result.error_estimate,
+        ]
+        effective = {"grid": grid}
+
+        csv_text = io.StringIO()
+        cli.write_spectrum_csv(result, effective, csv_text)
+        lines = csv_text.getvalue().splitlines()
+        rows = [ln.split(",") for ln in lines[2:] if not ln.startswith("#")]
+        assert len(rows) == len(result.freq)
+        assert {r[4] for r in rows} == {method.value}
+        for k, i in enumerate((0, 1, 2, 3, 5)):
+            assert np.array_equal(_bits([float(r[i]) for r in rows]), _bits(columns[k]))
+        footer = {ln.split()[1]: float(ln.split()[2]) for ln in lines if ln.startswith("# fit")}
+        assert footer == {
+            "fitted_temperature": result.fitted_temperature,
+            "fit_residual": result.fit_residual,
+        }
+
+        json_text = io.StringIO()
+        cli.write_spectrum_json(result, effective, json_text)
+        obj = json.loads(json_text.getvalue())
+        records = obj["records"]
+        assert {r["method"] for r in records} == {method.value}
+        for k, key in enumerate(("freq", "probability", "amplitude_re", "amplitude_im", "error_estimate")):
+            assert np.array_equal(_bits([r[key] for r in records]), _bits(columns[k]))
+        assert obj["fit"] == {
+            "fitted_temperature": result.fitted_temperature,
+            "fit_residual": result.fit_residual,
+        }
 
 
 class TestVerifyCommand:

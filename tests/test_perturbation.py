@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +237,26 @@ class TestAtomAboveMirror:
             assert math.isfinite(plus.real) and minus == -plus
 
 
+    @pytest.mark.parametrize("w", [1e-160, 1e-170, 1e-300])
+    def test_gap_below_the_overflow_limit_is_a_domain_error(self, w):
+        message = f"accel-atom-mirror probability overflows to inf at frequency {w!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pt.accel_atom_mirror_probability(w)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pt.accel_atom_mirror_amplitudes(w)
+
+    def test_both_functions_are_finite_from_the_limit(self):
+        w = pt._ATOM_MIRROR_MIN_GAP
+        assert w == pytest.approx(1.19e-155, rel=1e-2)
+        p = pt.accel_atom_mirror_probability(w)
+        plus, _ = pt.accel_atom_mirror_amplitudes(w)
+        assert math.isfinite(p)
+        assert 2.0 * abs(plus) ** 2 == pytest.approx(p, rel=1e-12)
+        below = math.nextafter(w, 0.0)
+        with pytest.raises(DomainError):
+            pt.accel_atom_mirror_amplitudes(below)
+
+
 class TestFreeFall:
     def test_exact_delegation_bitwise(self):
         p = params(v0=0.1, rg=1.0, nu_field=1.0, omega_atom=500.0, ell=7.7)
@@ -414,3 +435,74 @@ class TestSpectrumSweep:
         scaled = pt.spectrum_sweep(pt.ScenarioSpec(pt.Scenario.ACCEL_ATOM, params(coupling_g=3.0)), grid)
         for a, b in zip(base.records, scaled.records):
             assert b.probability == pytest.approx(9.0 * a.probability, rel=1e-13)
+
+
+class TestSpectrumColumns:
+    def test_columns_are_read_only_and_match_the_records(self):
+        spec = pt.ScenarioSpec(pt.Scenario.STATIC_ATOM_RINDLER_VAC, params(z0=5.0))
+        grid = np.geomspace(0.1, 3.0, 30)
+        result = pt.spectrum_sweep(spec, grid)
+        columns = (result.freq, result.probability, result.amplitude, result.error_estimate)
+        for column in columns:
+            assert column.shape == (30,) and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert result.amplitude.dtype == complex and result.method == "closed"
+        assert result.records == tuple(
+            pt.SpectrumRecord(f, p, a, "closed", e)
+            for f, p, a, e in zip(*(c.tolist() for c in columns))
+        )
+        # the sweep copies the grid rather than freezing the caller's array
+        assert grid.flags.writeable
+
+    def test_zero_coupling_skips_the_fit(self):
+        spec = pt.ScenarioSpec(pt.Scenario.ACCEL_ATOM, params(coupling_g=0.0))
+        result = pt.spectrum_sweep(spec, np.geomspace(0.5, 2.0, 5))
+        assert not result.probability.any()
+        assert result.fitted_temperature is None and result.fit_residual is None
+
+
+class TestVectorizedValidation:
+    """A route's bad value fails the sweep, naming the first bad frequency."""
+
+    GRID = np.geomspace(0.1, 3.0, 200)
+    BAD = (117, 150)
+
+    @staticmethod
+    def _corrupt(probs, amps, i, kind):
+        if kind == "negative":
+            probs[i] = -probs[i]
+            amps[i] = 1j * amps[i]
+        elif kind == "nan":
+            probs[i] = math.nan
+        else:
+            amps[i] *= 1.001
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("negative", "probability is -[0-9.e-]+, not finite and nonnegative, at"),
+            ("nan", "probability is nan, not finite and nonnegative, at"),
+            ("mismatch", "probability is not \\|amplitude\\|\\*\\*2 at"),
+        ],
+        ids=["negative", "nan", "mismatch"],
+    )
+    def test_bad_route_value_names_the_first_bad_frequency(self, monkeypatch, kind, message):
+        routes = pt._SCENARIOS[pt.Scenario.ACCEL_ATOM]
+        corrupt = self._corrupt
+
+        def closed(p, freqs):
+            probs, amps = routes.closed(p, freqs)
+            for i in self.BAD:
+                corrupt(probs, amps, i, kind)
+            return probs, amps
+
+        monkeypatch.setitem(pt._SCENARIOS, pt.Scenario.ACCEL_ATOM, routes._replace(closed=closed))
+        spec = pt.ScenarioSpec(pt.Scenario.ACCEL_ATOM, params())
+        first = self.GRID.tolist()[self.BAD[0]]
+        with pytest.raises(DomainError, match=message) as info:
+            pt.spectrum_sweep(spec, self.GRID)
+        text = str(info.value)
+        assert text.startswith("accel-atom probability")
+        assert f"at frequency {first!r}" in text
+        assert repr(self.GRID.tolist()[self.BAD[1]]) not in text
